@@ -98,22 +98,21 @@ def _orbifold(session: Session, text: str) -> rat1.Orbifold1:
     return rat1.Orbifold1(tuple(marked))
 
 
-def _fmt_point1(p) -> str:
-    if p[0].is_zero():
-        return "inf"
-    return str(p[1])
+def _fmt_poly(session: Session, p: MPoly) -> str:
+    return render_poly(p, session.cyclotomic_order)
 
 
-def _fmt_map(f: endo2.PlaneEndo) -> str:
-    return f"({render_poly(f.comp1)}, {render_poly(f.comp2)})"
+def _fmt_map(session: Session, f: endo2.PlaneEndo) -> str:
+    return f"({_fmt_poly(session, f.comp1)}, {_fmt_poly(session, f.comp2)})"
 
 
-def _fmt_rat(r: rat1.RatMap1) -> str:
-    return f"[{render_poly(r.formS)} : {render_poly(r.formT)}]"
+def _fmt_rat(session: Session, r: rat1.RatMap1) -> str:
+    return f"[{_fmt_poly(session, r.formS)} : {_fmt_poly(session, r.formT)}]"
 
 
-def _fmt_divisor(div) -> list:
-    return [{"factor": render_poly(g), "multiplicity": m} for g, m in div.parts]
+def _fmt_divisor(session: Session, div) -> list:
+    return [{"factor": _fmt_poly(session, g), "multiplicity": m}
+            for g, m in div.parts]
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +130,7 @@ def _cmd_commute(session, args):
 def _cmd_iterate(session, args):
     f = _plane_map(session, args.f)
     g = endo2.iterate(f, args.n, session.degree_cap)
-    return 0, {"iterate": _fmt_map(g), "degree": g.degree}
+    return 0, {"iterate": _fmt_map(session, g), "degree": g.degree}
 
 
 def _cmd_extends(session, args):
@@ -142,12 +141,13 @@ def _cmd_extends(session, args):
 def _cmd_infinity(session, args):
     r = endo2.restrict_infinity(_plane_map(session, args.f))
     tag = rat1.classify_infinity(r)
-    return 0, {"restriction": _fmt_rat(r), "class": str(tag)}
+    return 0, {"restriction": _fmt_rat(session, r), "class": str(tag)}
 
 
 def _cmd_critical(session, args):
     div = endo2.critical_divisor(_plane_map(session, args.f))
-    return 0, {"factors": _fmt_divisor(div), "total_degree": div.total_degree()}
+    return 0, {"factors": _fmt_divisor(session, div),
+               "total_degree": div.total_degree()}
 
 
 def _cmd_mult_on_curve(session, args):
@@ -177,12 +177,12 @@ def _cmd_total_invariant(session, args):
 def _cmd_ramified_invariance(session, args):
     w = endo2.ramified_square_invariance(_plane_map(session, args.f),
                                          _poly(session, args.phi))
-    return 0, {"witness": render_poly(w)}
+    return 0, {"witness": _fmt_poly(session, w)}
 
 
 def _cmd_image_curve(session, args):
     h = endo2.image_curve(_plane_map(session, args.f), _poly(session, args.curve))
-    return 0, {"image": render_poly(h)}
+    return 0, {"image": _fmt_poly(session, h)}
 
 
 def _cmd_critical_orbit(session, args):
@@ -192,7 +192,7 @@ def _cmd_critical_orbit(session, args):
     components = []
     for comp, entry in report.per_component.items():
         components.append({
-            "component": render_poly(comp),
+            "component": _fmt_poly(session, comp),
             "distinct_curves": entry["distinct_curves"],
             "witness": [list(k) for k in entry["witness"]]
             if entry["witness"] is not None else None,
@@ -204,7 +204,7 @@ def _cmd_critical_orbit(session, args):
 def _cmd_invariant_lines(session, args):
     rep = endo2.invariant_lines(_plane_map(session, args.f))
     return 0, {
-        "lines": [{"line": render_poly(line), "totally_invariant": tot}
+        "lines": [{"line": _fmt_poly(session, line), "totally_invariant": tot}
                   for line, tot in rep.affine_lines],
         "includes_infinity": rep.includes_infinity,
     }
@@ -242,7 +242,7 @@ def _cmd_newton_alpha(session, args):
     if args.alpha is not None:
         a = Fraction(args.alpha)
         result["d_alpha"] = str(local.d_alpha(h, a))
-        result["quasi_part"] = render_poly(local.quasi_part(h, a))
+        result["quasi_part"] = _fmt_poly(session, local.quasi_part(h, a))
     return 0, result
 
 
@@ -250,8 +250,8 @@ def _cmd_prop2_reduce(session, args):
     fr1 = local.LocalFrame.at(_plane_map(session, args.f), (0, 0))
     fr2 = local.LocalFrame.at(_plane_map(session, args.g), (0, 0))
     alpha, p1, p2, case = local.prop2_reduce(fr1, fr2)
-    return 0, {"alpha": str(alpha), "P1": render_poly(p1),
-               "P2": render_poly(p2), "case": case}
+    return 0, {"alpha": str(alpha), "P1": _fmt_poly(session, p1),
+               "P2": _fmt_poly(session, p2), "case": case}
 
 
 def _cmd_orbifold_cover(session, args):
@@ -287,32 +287,32 @@ def _cmd_construct(session, args):
     if fam == "ex1":
         f1, f2 = families.ex1(args.d1, args.d2, _constant(session, args.lam),
                               (args.sign1, args.sign2))
-        return 0, {"f1": _fmt_map(f1), "f2": _fmt_map(f2)}
+        return 0, {"f1": _fmt_map(session, f1), "f2": _fmt_map(session, f2)}
     if fam == "ex2":
         f = families.ex2(args.d1, args.variant, (args.sign1, args.sign2))
-        return 0, {"map": _fmt_map(f)}
+        return 0, {"map": _fmt_map(session, f)}
     if fam == "ex3":
         r1 = _line_map(session, args.f)
         r2 = _line_map(session, args.g)
         lam1 = _constant(session, args.lam) if args.lam else None
         f1, f2 = families.ex3_lift(r1, r2, lam1, None)
-        return 0, {"f1": _fmt_map(f1), "f2": _fmt_map(f2)}
+        return 0, {"f1": _fmt_map(session, f1), "f2": _fmt_map(session, f2)}
     if fam == "ex4":
         f = families.ex4_descend(_poly(session, args.h))
-        return 0, {"map": _fmt_map(f)}
+        return 0, {"map": _fmt_map(session, f)}
     raise ParseError(f"unknown family {fam!r}", 0)
 
 
 def _cmd_sym_reduce(session, args):
     u = families.sym_reduce(_poly(session, args.poly))
-    return 0, {"reduced": render_poly(u)}
+    return 0, {"reduced": _fmt_poly(session, u)}
 
 
 def _cmd_lattes(session, args):
     curve = families.EllipticCurveData(_constant(session, args.a),
                                        _constant(session, args.b))
     r = families.elliptic_lattes(curve, args.n)
-    return 0, {"map": _fmt_rat(r), "degree": r.degree}
+    return 0, {"map": _fmt_rat(session, r), "degree": r.degree}
 
 
 def _cmd_classify(session, args):

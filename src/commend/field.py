@@ -5,13 +5,16 @@ vector: the coordinates of the element in the power basis 1, z, ..., z^(phi(N)-1
 of Q[z]/Phi_N(z).  Every constructor contracts the element to the smallest
 order that contains it, so equality and hashing are canonical across fields.
 Mixed-order arithmetic lifts both operands to the lcm of their orders.
+
+Rational elements (order 1) never go through `lift`, `_pair` or `_contract`:
+arithmetic on two of them works on the Fractions and skips `__init__`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 
 def euler_phi(n: int) -> int:
@@ -172,16 +175,23 @@ class Coefficient:
 
     # -- constructors -------------------------------------------------
     @staticmethod
+    def _rational(q: Fraction) -> "Coefficient":
+        c = object.__new__(Coefficient)
+        object.__setattr__(c, "order", 1)
+        object.__setattr__(c, "res", (q,))
+        return c
+
+    @staticmethod
     def rational(value) -> "Coefficient":
-        return Coefficient(1, [Fraction(value)])
+        return Coefficient._rational(Fraction(value))
 
     @staticmethod
     def zero() -> "Coefficient":
-        return Coefficient.rational(0)
+        return _ZERO
 
     @staticmethod
     def one() -> "Coefficient":
-        return Coefficient.rational(1)
+        return _ONE
 
     @staticmethod
     def root_of_unity(order: int, power: int = 1) -> "Coefficient":
@@ -199,11 +209,11 @@ class Coefficient:
     def coerce(value) -> "Coefficient":
         if isinstance(value, Coefficient):
             return value
-        return Coefficient.rational(value)
+        return Coefficient._rational(Fraction(value))
 
     # -- predicates ---------------------------------------------------
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.res)
+        return not any(self.res)
 
     def is_one(self) -> bool:
         return self.order == 1 and self.res[0] == 1
@@ -240,12 +250,16 @@ class Coefficient:
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
         other = Coefficient.coerce(other)
+        if self.order == 1 == other.order:
+            return Coefficient._rational(self.res[0] + other.res[0])
         n, a, b = self._pair(other)
         return Coefficient(n, [x + y for x, y in zip(a, b)])
 
     __radd__ = __add__
 
     def __neg__(self):
+        if self.order == 1:
+            return Coefficient._rational(-self.res[0])
         return Coefficient(self.order, [-x for x in self.res])
 
     def __sub__(self, other):
@@ -256,6 +270,8 @@ class Coefficient:
 
     def __mul__(self, other):
         other = Coefficient.coerce(other)
+        if self.order == 1 == other.order:
+            return Coefficient._rational(self.res[0] * other.res[0])
         n, a, b = self._pair(other)
         prod = [Fraction(0)] * (len(a) + len(b) - 1 if a and b else 1)
         for i, x in enumerate(a):
@@ -271,7 +287,7 @@ class Coefficient:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.order == 1:
-            return Coefficient.rational(1 / self.res[0])
+            return Coefficient._rational(1 / self.res[0])
         # extended Euclid of the residue polynomial and Phi_N over Q[x]
         mod = [Fraction(c) for c in cyclotomic_int_coeffs(self.order)]
         r0, r1 = mod, list(self.res)
@@ -325,9 +341,8 @@ class Coefficient:
     def __eq__(self, other):
         if not isinstance(other, Coefficient):
             if isinstance(other, (int, Fraction)):
-                other = Coefficient.rational(other)
-            else:
-                return NotImplemented
+                return self.order == 1 and self.res[0] == other
+            return NotImplemented
         return self.order == other.order and self.res == other.res
 
     def __hash__(self):
@@ -365,6 +380,10 @@ class Coefficient:
         return out
 
 
+_ZERO = Coefficient._rational(Fraction(0))
+_ONE = Coefficient._rational(Fraction(1))
+
+
 def roots_of_unity(order: int) -> list[Coefficient]:
     """All roots of unity contained in Q(zeta_order), deterministically ordered."""
     seen = {}
@@ -384,13 +403,14 @@ def _rational_kth_root(q: Fraction, k: int):
         return Fraction(0)
 
     def iroot(n: int):
-        if n in (0, 1):
-            return n
-        r = round(n ** (1.0 / k))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand**k == n:
-                return cand
-        return None
+        # exact integer root: isqrt, or Newton's iteration from above
+        if k == 2:
+            r = isqrt(n)
+        else:
+            r = 1 << -(-n.bit_length() // k)
+            while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+                r = s
+        return r if r**k == n else None
 
     a, b = iroot(q.numerator), iroot(q.denominator)
     if a is None or b is None:

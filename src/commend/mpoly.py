@@ -9,7 +9,7 @@ first, then the exponent tuple lexicographically in variable order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import BothZero, NotASquare, NotDivisible
 from .field import Coefficient, kth_roots
@@ -49,9 +49,10 @@ class MPoly:
         for exps, coef in terms.items():
             coef = Coefficient.coerce(coef)
             if not coef.is_zero():
-                clean[tuple(exps)] = clean.get(tuple(exps), Coefficient.zero()) + coef
-        clean = {e: c for e, c in clean.items() if not c.is_zero()}
+                clean[exps] = coef
         used = [i for i in range(len(variables)) if any(e[i] for e in clean)]
+        if len(used) == len(variables):
+            return MPoly(variables, clean)
         variables2 = [variables[i] for i in used]
         clean2 = {tuple(e[i] for i in used): c for e, c in clean.items()}
         return MPoly(variables2, clean2)
@@ -138,22 +139,35 @@ class MPoly:
 
     # -- alignment helper ----------------------------------------------
     def _aligned(self, other: "MPoly"):
+        """(variables, self's terms, other's terms) over both vars; read-only."""
+        if self.vars == other.vars:
+            return self.vars, self.terms, other.terms
         variables = sorted(set(self.vars) | set(other.vars), key=_var_rank)
-        def remap(p):
-            idx = [p.vars.index(v) if v in p.vars else None for v in variables]
-            out = {}
-            for e, c in p.terms.items():
-                out[tuple(e[i] if i is not None else 0 for i in idx)] = c
-            return out
-        return variables, remap(self), remap(other)
+        return variables, self._embed(variables), other._embed(variables)
+
+    def _embed(self, variables) -> dict:
+        """The terms keyed over `variables`, a superset of self.vars; read-only."""
+        if self.vars == tuple(variables):
+            return self.terms
+        idx = [self.vars.index(v) if v in self.vars else None for v in variables]
+        return {tuple(e[i] if i is not None else 0 for i in idx): c
+                for e, c in self.terms.items()}
+
+    @staticmethod
+    def _sum(polys) -> "MPoly":
+        """The sum of `polys`, collected in one dict and canonicalised once."""
+        polys = list(polys)
+        variables = sorted({v for p in polys for v in p.vars}, key=_var_rank)
+        out = {}
+        for p in polys:
+            for e, c in p._embed(variables).items():
+                prev = out.get(e)
+                out[e] = c if prev is None else prev + c
+        return MPoly.make(variables, out)
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
-        other = MPoly.coerce(other)
-        variables, a, b = self._aligned(other)
-        for e, c in b.items():
-            a[e] = a.get(e, Coefficient.zero()) + c
-        return MPoly.make(variables, a)
+        return MPoly._sum((self, MPoly.coerce(other)))
 
     __radd__ = __add__
 
@@ -244,14 +258,14 @@ class MPoly:
                         if exp % 2 else half * half
             return cache[key]
 
-        total = MPoly.zero()
-        for e, c in self.terms.items():
-            term = MPoly.constant(c)
+        def term(e, c):
+            t = MPoly.constant(c)
             for name, exp in zip(self.vars, e):
                 if exp:
-                    term = term * power(name, exp)
-            total = total + term
-        return total
+                    t = t * power(name, exp)
+            return t
+
+        return MPoly._sum(term(e, c) for e, c in self.terms.items())
 
     def evaluate(self, values: dict) -> Coefficient:
         """Evaluate at a full point given as {var: Coefficient-like}."""
@@ -277,6 +291,7 @@ class MPoly:
         if self.is_zero():
             return MPoly.zero()
         variables, rem, div = self._aligned(other)
+        rem = dict(rem)
         lead_e = max(div, key=MPoly._grlex_key)
         lead_c = div[lead_e]
         quot = {}
@@ -320,11 +335,7 @@ class MPoly:
 
     @staticmethod
     def from_univariate(coeffs: list["MPoly"], name: str) -> "MPoly":
-        total = MPoly.zero()
-        xv = MPoly.var(name)
-        for k, c in enumerate(coeffs):
-            total = total + c * xv**k
-        return total
+        return MPoly._sum(c * MPoly.var(name, k) for k, c in enumerate(coeffs))
 
     # -- normalization -------------------------------------------------
     def monic(self) -> "MPoly":
@@ -345,25 +356,6 @@ class MPoly:
 # ---------------------------------------------------------------------------
 # Ring-level algorithms
 # ---------------------------------------------------------------------------
-
-def ring_arith(a: MPoly, b: MPoly, op: str) -> MPoly:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def cyclotomic_polynomial(n: int) -> MPoly:
-    """The n-th cyclotomic polynomial in the variable x."""
-    assert n >= 1
-    from .field import cyclotomic_int_coeffs
-    coeffs = cyclotomic_int_coeffs(n)
-    return MPoly.make(("x",), {(k,): Coefficient.rational(c)
-                               for k, c in enumerate(coeffs)})
-
 
 def _pseudo_remainder(a: list[MPoly], b: list[MPoly]):
     """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b (coefficient lists)."""
@@ -606,7 +598,7 @@ def rational_roots(p: MPoly) -> list[Fraction]:
         vals.append(cv.rational_value)
     den = 1
     for v in vals:
-        den = den * v.denominator // gcd_int(den, v.denominator)
+        den = den * v.denominator // gcd(den, v.denominator)
     ints = [int(v * den) for v in vals]
     roots = []
     low = next(i for i, c in enumerate(ints) if c)
@@ -635,11 +627,6 @@ def rational_roots(p: MPoly) -> list[Fraction]:
                     seen.add(cand)
                     roots.append(cand)
     return sorted(roots)
-
-
-def gcd_int(a: int, b: int) -> int:
-    from math import gcd as _g
-    return _g(a, b)
 
 
 def _coefficient_sqrt(u: Coefficient, order: int = 1) -> Coefficient:

@@ -340,17 +340,6 @@ def _fiber_data(r: RatMap1, o: Orbifold1):
     return fibers, images
 
 
-def _unmarked_count(unmarked, mult):
-    """Number of distinct unmarked points carrying the given multiplicity."""
-    total = 0
-    for deg, m in unmarked:
-        if m == mult:
-            total += deg
-        elif m != mult:
-            return None if m != mult and deg else total
-    return total
-
-
 def _unmarked_is(unmarked, mult, count):
     """True iff the unmarked part is exactly `count` points of multiplicity `mult`."""
     if count == 0:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from commend.errors import (NotASquare, NotDivisible, ParseError,
                             UnknownVariable)
-from commend.field import Coefficient, kth_roots, roots_of_unity
+from commend.field import Coefficient, euler_phi, kth_roots, roots_of_unity
 from commend.mpoly import (MPoly, binary_form_resultant, gcd_poly, poly_sqrt,
                            rational_roots, resultant, squarefree_decompose,
                            squarefree_part)
@@ -72,6 +72,43 @@ class TestCoefficient:
         assert a + b == b + a
         if not b.is_zero():
             assert (a / b) * b == a
+
+    @given(rationals, rationals, st.sampled_from([3, 4, 12]),
+           st.integers(0, 11), st.integers(-3, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_rational_fast_path_matches_general_path(self, p, q, n, k, e):
+        pad = [0] * (euler_phi(n) - 1)
+        a, b = Coefficient.rational(p), Coefficient.rational(q)
+        # built by __init__, which contracts Q(zeta_n) down to order 1
+        ga, gb = Coefficient(n, [p] + pad), Coefficient(n, [q] + pad)
+        assert (ga, gb) == (a, b) and (hash(ga), hash(gb)) == (hash(a), hash(b))
+        assert a == p and a != p + 1
+        for x, y in ((a, b), (ga, gb), (a, q), (p, b)):
+            assert (x + y) == p + q and (x - y) == p - q and (x * y) == p * q
+            if q:
+                assert (x / y) == p / q
+        assert -a == -p and (a**abs(e)).rational_value == p ** abs(e)
+        if q:
+            assert b.inverse() == 1 / q and (b**e).rational_value == q**e
+        # mixed order: the general path, against a product built by __init__
+        z = Coefficient.root_of_unity(n, k)
+        expected = Coefficient(n, [p * c for c in z.lift(n)[1]])
+        assert a * z == expected and z * a == expected
+
+    def test_shared_zero_and_one_are_immutable(self):
+        for c in (Coefficient.zero(), Coefficient.one()):
+            with pytest.raises(AttributeError):
+                c.res = (Fraction(5),)
+            with pytest.raises(AttributeError):
+                c.order = 3
+        assert Coefficient.zero() == 0 and Coefficient.one() == 1
+
+    def test_kth_roots_of_large_rationals_are_exact(self):
+        # float k-th roots miss this perfect cube and overflow past 1e308
+        r = 3**40 + 2
+        assert kth_roots(Coefficient.rational(r**3), 3) == [Coefficient.rational(r)]
+        roots = kth_roots(Coefficient.rational(10**400), 2)
+        assert sorted(x.rational_value for x in roots) == [-10**200, 10**200]
 
 
 class TestMPoly:
@@ -183,3 +220,13 @@ class TestParseRender:
     def test_render_parse_identity(self, cs):
         p = sum((X**k * Y ** (k % 2)).scale(c) for k, c in enumerate(cs))
         assert parse_poly(render_poly(p)) == p
+
+    @given(st.sampled_from([3, 4, 6, 12]),
+           st.lists(st.tuples(rationals, rationals, st.integers(0, 11)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_render_parse_identity_cyclotomic(self, n, terms):
+        p = sum((X**k * Y ** (k % 2)).scale(
+                    c0 + Coefficient.rational(c1) * Coefficient.root_of_unity(n, j))
+                for k, (c0, c1, j) in enumerate(terms))
+        assert parse_poly(render_poly(p, n), n) == p

@@ -103,6 +103,13 @@ class TestCommands:
                         "--cyclotomic", "4")
         assert code == 0
 
+    def test_cyclotomic_report_uses_session_root(self, capsys):
+        # zeta_6 = 1 + zeta_3: printed in the basis of zeta_3 it would read
+        # back as 1 + zeta_6
+        code, rep = run(capsys, "--cyclotomic", "6", "iterate",
+                        "--f=(w*z1^2, z2^2)", "--n", "1")
+        assert code == 0 and rep["result"]["iterate"] == "(w*z1^2, z2^2)"
+
     def test_local_degree(self, capsys):
         code, rep = run(capsys, "local-degree", "--f", DESC_F,
                         "--point", "0,0")
