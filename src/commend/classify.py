@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import lcm
 
 from .endo2 import (DEFAULT_DEGREE_CAP, PlaneEndo, _solve_two_var_system,
                     commutes, extends_to_p2, iterate, restrict_infinity)
-from .errors import (BudgetExceeded, NotCommuting, PreconditionViolated,
-                     ScalarNotSolvable)
-from .families import FamilyTag, chebyshev, ex1, ex2, ex3_lift, ex4_descend
+from .errors import (BudgetExceeded, CommendError, NotCommuting,
+                     PreconditionViolated, ScalarNotSolvable)
+from .families import (FamilyTag, chebyshev, chebyshev_conjugacies,
+                       depression_shift, ex1, ex2, ex3_lift, ex4_descend)
 from .field import Coefficient, kth_roots, roots_of_unity
-from .mpoly import MPoly
+from .mpoly import MPoly, session_order
 from .rat1 import RatMap1, classify_infinity
 
 Z1, Z2 = MPoly.var("z1"), MPoly.var("z2")
@@ -144,23 +144,6 @@ def _as_y(p: MPoly) -> MPoly:
     return p.substitute(sub) if sub else p
 
 
-def _dense(u: MPoly):
-    d = u.degree_in("y") if u.depends_on("y") else 0
-    out = [Coefficient.zero()] * (d + 1)
-    for e, c in u.terms.items():
-        k = e[u.vars.index("y")] if "y" in u.vars else 0
-        out[k] = c
-    return out
-
-
-def _session_order(*maps) -> int:
-    order = 1
-    for f in maps:
-        for comp in (f.comp1, f.comp2):
-            order = lcm(order, comp.field_order())
-    return order
-
-
 def _monomial_coefficient(p: MPoly, var: str, d: int):
     """c when p == c * var^d exactly, else None."""
     if set(p.vars) - {var}:
@@ -170,32 +153,6 @@ def _monomial_coefficient(p: MPoly, var: str, d: int):
     if p.degree_in(var) != d or len(p.terms) != 1:
         return None
     return p.leading_coefficient()
-
-
-def _classical_cheb_candidates(u: MPoly, order: int):
-    """All (beta, theta, sign) with u(beta*y + theta) = beta*sign*T_d(y) + theta."""
-    u = _as_y(u)
-    if not u.depends_on("y"):
-        return []
-    d = u.degree_in("y")
-    if d < 2:
-        return []
-    cs = _dense(u)
-    theta = -cs[d - 1] / (cs[d] * d)
-    target = chebyshev(d, "classical").substitute({"x": Y})
-    lead = target.leading_coefficient()
-    out = []
-    for sign in (1, -1):
-        for beta in kth_roots(lead * Coefficient.rational(sign) / cs[d],
-                              d - 1, order):
-            if beta.is_zero():
-                continue
-            lhs = u.substitute({"y": Y.scale(beta) + MPoly.constant(theta)})
-            rhs = target.scale(beta * Coefficient.rational(sign)) \
-                + MPoly.constant(theta)
-            if lhs == rhs:
-                out.append((beta, theta, sign))
-    return out
 
 
 def _split(f: PlaneEndo):
@@ -251,7 +208,7 @@ def _match_ex1(f1: PlaneEndo, f2: PlaneEndo, order: int):
             if c1 is None or c2 is None:
                 continue
             p_candidates = kth_roots(c1.inverse(), d1 - 1, order)
-            cheb1 = _classical_cheb_candidates(g1.comp2, order)
+            cheb1 = chebyshev_conjugacies(s1[2], order)  # g1's z2 part
             for p in p_candidates:
                 if p.is_zero():
                     continue
@@ -278,9 +235,8 @@ def _ex2_match_map(g: PlaneEndo):
     if not split:
         return None
     variant, u, v = split
-    du = u.degree_in("y") if u.depends_on("y") else 0
-    dv = v.degree_in("y") if v.depends_on("y") else 0
-    if du != dv or du < 2:
+    du = u.degree_in("y")
+    if v.degree_in("y") != du or du < 2:
         return None
     target = chebyshev(du, "classical").substitute({"x": Y})
     signs = []
@@ -300,20 +256,19 @@ def _match_ex2(f1: PlaneEndo, f2: PlaneEndo, order: int):
     if not s1 or not s2:
         return None
     p_cands, q_cands = [], []
-    for split, g in ((s1, f1), (s2, f2)):
-        if split[0] == "straight":
-            p_cands.extend(_classical_cheb_candidates(g.comp1, order))
-            q_cands.extend(_classical_cheb_candidates(g.comp2, order))
+    for variant, u, v in (s1, s2):
+        if variant == "straight":
+            p_cands.extend(chebyshev_conjugacies(u, order))
+            q_cands.extend(chebyshev_conjugacies(v, order))
     if not p_cands and not q_cands:
         # both maps swap their coordinates: solve the coupled scale equations
-        variant, u, v = s1
-        d = u.degree_in("y") if u.depends_on("y") else 0
+        u = s1[1]
+        d = u.degree_in("y")
         if d < 2:
             return None
-        cs = _dense(u)
-        theta2 = -cs[d - 1] / (cs[d] * d)
-        w = _dense(u.substitute({"y": Y + MPoly.constant(theta2)}))
-        tau = _dense(chebyshev(d, "classical").substitute({"x": Y}))
+        theta2 = depression_shift(u)
+        w = u.substitute({"y": Y + MPoly.constant(theta2)}).dense_in("y")
+        tau = chebyshev(d, "classical").substitute({"x": Y}).dense_in("y")
         if len(w) < d + 1 or w[d - 2].is_zero():
             return None
         ratio = (tau[d] * w[d - 2]) / (tau[d - 2] * w[d])
@@ -396,11 +351,7 @@ def _undescend(g: PlaneEndo):
     h = axis.substitute({"z1": MPoly.var("x")}) - MPoly.constant(half)
     if h.is_constant():
         return None
-    try:
-        candidate = ex4_descend(h)
-    except Exception:
-        return None
-    return h if candidate == g else None
+    return h if ex4_descend(h) == g else None
 
 
 def _match_ex4(f1: PlaneEndo, f2: PlaneEndo, order: int):
@@ -436,12 +387,13 @@ def recognize(f1: PlaneEndo, f2: PlaneEndo,
         raise PreconditionViolated("both maps must extend to the plane closure")
     if not disjoint_iterates(f1, f2, degree_cap):
         raise PreconditionViolated("iterates collide within the degree cap")
-    order = _session_order(f1, f2)
+    order = session_order(f1.comp1, f1.comp2, f2.comp1, f2.comp2)
     tags = []
     for f in (f1, f2):
         try:
             tags.append(classify_infinity(restrict_infinity(f)).tag)
-        except Exception:
+        except (ValueError, CommendError):
+            # no class at infinity: the matchers keep their default order
             tags.append("Unknown")
     matchers = [_match_ex1, _match_ex2, _match_ex3, _match_ex4]
     if tags[0] == "PowerLike" and tags[1] == "PowerLike":
@@ -535,7 +487,8 @@ def _probe_commutes(m1, m2) -> bool:
 
 
 def _map_repr(m) -> str:
-    return str(_grid_endo(m))
+    f = _grid_endo(m)
+    return f"({f.comp1}, {f.comp2})"
 
 
 def search(degree_pair, coefficient_set, report_sink=None,

@@ -8,6 +8,7 @@ wall time goes to stderr so report bytes stay reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -25,14 +26,11 @@ from .render import render_poly
 
 
 class Session:
-    def __init__(self, cyclotomic_order=1, degree_cap=endo2.DEFAULT_DEGREE_CAP,
-                 iterate_cap=endo2.DEFAULT_DEGREE_CAP, seed=0):
-        if cyclotomic_order < 1 or degree_cap < 1 or iterate_cap < 1:
+    def __init__(self, cyclotomic_order=1, degree_cap=endo2.DEFAULT_DEGREE_CAP):
+        if cyclotomic_order < 1 or degree_cap < 1:
             raise ValueError("session parameters must be positive")
         self.cyclotomic_order = cyclotomic_order
         self.degree_cap = degree_cap
-        self.iterate_cap = iterate_cap
-        self.seed = seed
 
 
 def _poly(session: Session, text: str) -> MPoly:
@@ -100,6 +98,13 @@ def _orbifold(session: Session, text: str) -> rat1.Orbifold1:
 
 def _fmt_poly(session: Session, p: MPoly) -> str:
     return render_poly(p, session.cyclotomic_order)
+
+
+def _fmt_value(session: Session, v) -> str:
+    """A coefficient or polynomial in the session's w; anything else by str."""
+    if isinstance(v, Coefficient):
+        v = MPoly.constant(v)
+    return _fmt_poly(session, v) if isinstance(v, MPoly) else str(v)
 
 
 def _fmt_map(session: Session, f: endo2.PlaneEndo) -> str:
@@ -319,14 +324,15 @@ def _cmd_classify(session, args):
     f = _plane_map(session, args.f)
     g = _plane_map(session, args.g)
     verdict = _classify.recognize(f, g, session.degree_cap)
+    fmt = functools.partial(_fmt_value, session)
     data = {"tag": verdict.tag,
-            "params": str(verdict.params) if verdict.params else None,
+            "params": verdict.params.render(fmt) if verdict.params else None,
             "degree_cap": verdict.degree_cap}
     if verdict.conjugation is not None:
-        (a, b), (c, d) = verdict.conjugation.linear
-        t1, t2 = verdict.conjugation.translation
-        data["conjugation"] = {"linear": [[str(a), str(b)], [str(c), str(d)]],
-                               "translation": [str(t1), str(t2)]}
+        conj = verdict.conjugation
+        data["conjugation"] = {
+            "linear": [[fmt(c) for c in row] for row in conj.linear],
+            "translation": [fmt(t) for t in conj.translation]}
     return (0 if verdict.tag != "Unknown" else 1), data
 
 
@@ -356,7 +362,9 @@ def _cmd_disjoint(session, args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by later calls."""
     # SUPPRESS keeps subparser defaults from clobbering flags given before
     # the subcommand; main() fills in the real defaults.
     shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
@@ -366,8 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="K", help="iterate/certificate degree cap")
     shared.add_argument("--json", metavar="PATH",
                         help="also write the report to this file")
-    shared.add_argument("--seed", type=int,
-                        help="ordering seed (fixed orderings by default)")
     top = argparse.ArgumentParser(
         prog="commend", parents=[shared],
         description="Exact arithmetic for commuting plane polynomial maps.")
@@ -428,9 +434,8 @@ def main(argv=None) -> int:
     cyclotomic = getattr(args, "cyclotomic", 1)
     degree_cap = getattr(args, "degree_cap", endo2.DEFAULT_DEGREE_CAP)
     json_path = getattr(args, "json", None)
-    seed = getattr(args, "seed", 0)
     try:
-        session = Session(cyclotomic, degree_cap, degree_cap, seed)
+        session = Session(cyclotomic, degree_cap)
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stdout)
         return 2

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (DegreeLimitExceeded, EliminationDegenerate, NotExtendable,
-                     PreconditionViolated, ZeroJacobian)
+from .errors import (DegreeLimitExceeded, EliminationDegenerate, NotDivisible,
+                     NotExtendable, PreconditionViolated, ZeroJacobian)
 from .field import Coefficient
 from .mpoly import (MPoly, binary_form_resultant, gcd_poly, rational_roots,
                     resultant, squarefree_decompose, squarefree_part)
@@ -200,7 +200,7 @@ def is_totally_invariant(f: PlaneEndo, g: MPoly) -> bool:
     target = g ** f.degree
     try:
         q = pulled.exact_divide(target)
-    except Exception:
+    except NotDivisible:
         return False
     return q.is_constant() and not q.is_zero()
 

@@ -45,10 +45,6 @@ class CommutationFails(CommendError):
     """The reduced one-variable maps do not commute."""
 
 
-class NoCaseMatches(CommendError):
-    """The one-variable reduction fits none of the listed conclusions."""
-
-
 class InfinityWeightViolation(CommendError):
     """A weight-infinity point has a preimage outside the weight-infinity set."""
 
@@ -58,7 +54,8 @@ class BadPointCount(CommendError):
 
 
 class NoCaseMatch(CommendError):
-    """The ramification portrait fits none of the tabulated cases."""
+    """A ramification portrait or a one-variable reduction fits none of the
+    tabulated cases."""
 
 
 class NotCommuting(CommendError):

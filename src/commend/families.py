@@ -37,6 +37,40 @@ def chebyshev(d: int, kind: str = "monic") -> MPoly:
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def depression_shift(p: MPoly) -> Coefficient:
+    """t = -c_(d-1) / (d*c_d), so that p(y + t) has no y^(d-1) term (d >= 1)."""
+    cs = p.dense_in("y")
+    d = len(cs) - 1
+    return -cs[d - 1] / (cs[d] * d)
+
+
+def chebyshev_conjugacies(p: MPoly, order: int) -> list:
+    """Every (beta, theta, sign) with p(beta*y + theta) = beta*sign*T_d(y) + theta.
+
+    p is a polynomial in y of degree d >= 2 (else there are none), T_d the
+    classical Chebyshev polynomial and beta ranges over Q(zeta_order).  As
+    the monic polynomial is 2*T_d(y/2), p is conjugate to sign times it
+    through y -> (beta/2)*y + theta.
+    """
+    d = p.degree_in("y")
+    if d < 2:
+        return []
+    theta = depression_shift(p)
+    target = chebyshev(d, "classical").substitute({"x": Y})
+    out = []
+    for sign in (1, -1):
+        scale = target.leading_coefficient() * Coefficient.rational(sign)
+        for beta in kth_roots(scale / p.leading_coefficient(), d - 1, order):
+            if beta.is_zero():
+                continue
+            lhs = p.substitute({"y": Y.scale(beta) + MPoly.constant(theta)})
+            rhs = target.scale(beta * Coefficient.rational(sign)) \
+                + MPoly.constant(theta)
+            if lhs == rhs:
+                out.append((beta, theta, sign))
+    return out
+
+
 def _on_z2(p: MPoly) -> MPoly:
     return p.substitute({"x": Z2})
 
@@ -288,8 +322,12 @@ class FamilyTag:
     which: str
     params: tuple = ()
 
-    def __str__(self):
+    def render(self, fmt=str) -> str:
+        """The label with each parameter written by `fmt`."""
         if not self.params:
             return self.which
-        inner = ", ".join(str(p) for p in self.params)
+        inner = ", ".join(fmt(p) for p in self.params)
         return f"{self.which}({inner})"
+
+    def __str__(self):
+        return self.render()

@@ -11,10 +11,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .endo2 import SHEAR_CANDIDATES, PlaneEndo
-from .errors import (CommutationFails, NoCaseMatches, NotIsolated,
+from .errors import (CommutationFails, NoCaseMatch, NotIsolated,
                      PreconditionViolated, ShapeMismatch)
-from .field import Coefficient, kth_roots, roots_of_unity
-from .mpoly import MPoly, gcd_poly, resultant, squarefree_decompose
+from .families import chebyshev_conjugacies, depression_shift
+from .field import Coefficient
+from .mpoly import (MPoly, gcd_poly, resultant, session_order,
+                    squarefree_decompose)
 
 Z1, Z2 = MPoly.var("z1"), MPoly.var("z2")
 
@@ -258,39 +260,12 @@ def _compose_1d(p: MPoly, q: MPoly) -> MPoly:
     return p.substitute({"y": q})
 
 
-def _monic_chebyshev(d: int) -> MPoly:
-    y = MPoly.var("y")
-    prev, cur = MPoly.constant(2), y
-    for _ in range(d - 1):
-        prev, cur = cur, y * cur - prev
-    return cur if d >= 1 else prev
-
-
-def _univariate_coeffs(p: MPoly):
-    """Dense coefficient list [c0, ..., cd] of a polynomial in y."""
-    d = p.degree_in("y") if p.depends_on("y") else 0
-    out = [Coefficient.zero()] * (d + 1)
-    for e, c in p.terms.items():
-        k = e[p.vars.index("y")] if "y" in p.vars else 0
-        out[k] = c
-    return out
-
-
-def _session_order(*polys) -> int:
-    from math import lcm
-    order = 1
-    for p in polys:
-        order = lcm(order, p.field_order())
-    return order
-
-
 def _is_shifted_monomial(p: MPoly, d: int):
     """If p(y + t) - p(t) == a*y^d for the canonical depression shift t,
     return (a, t); otherwise None."""
-    cs = _univariate_coeffs(p)
-    if len(cs) != d + 1 or cs[d].is_zero():
+    if p.degree_in("y") != d:
         return None
-    t = -cs[d - 1] / (cs[d] * d)
+    t = depression_shift(p)
     y = MPoly.var("y")
     shifted = p.substitute({"y": y + MPoly.constant(t)})
     value = p.evaluate({"y": t})
@@ -329,7 +304,7 @@ def prop2_reduce(f1: LocalFrame, f2: LocalFrame):
     if _compose_1d(p1, p2) != _compose_1d(p2, p1):
         raise CommutationFails("one-variable reductions do not commute")
 
-    order = _session_order(p1, p2)
+    order = session_order(p1, p2)
 
     if alpha == 1:
         m1 = _is_shifted_monomial(p1, d1)
@@ -340,60 +315,27 @@ def prop2_reduce(f1: LocalFrame, f2: LocalFrame):
             # gamma^(d1-1) = a2^(d1-1) * a1^(1-d2) must equal 1
             if (a2**(d1 - 1)) * (a1.inverse()**(d2 - 1)) == Coefficient.one():
                 return alpha, p1, p2, 1
-        if _chebyshev_conjugate_pair(p1, p2, d1, d2, order):
+        # p_i(beta*y + theta) = beta*(+-T_di)(y) + theta for both i
+        if _shared_conjugacies(p1, p2, d1, d2, order):
             return alpha, p1, p2, 2
-        raise NoCaseMatches("no normal form matched at alpha = 1")
+        raise NoCaseMatch("no normal form matched at alpha = 1")
 
     if alpha == 2:
-        if _chebyshev_scaled_pair(p1, p2, d1, d2, order):
-            return alpha, p1, p2, 3
-        raise NoCaseMatches("no normal form matched at alpha = 2")
+        # the same with theta = 0 and (beta/2)^(di-1) = 1 for both i
+        half = Coefficient.rational(Fraction(1, 2))
+        for beta, theta in _shared_conjugacies(p1, p2, d1, d2, order):
+            unit = beta * half
+            if theta.is_zero() and (unit**(d1 - 1)).is_one() \
+                    and (unit**(d2 - 1)).is_one():
+                return alpha, p1, p2, 3
+        raise NoCaseMatch("no normal form matched at alpha = 2")
 
-    raise NoCaseMatches(f"alpha = {alpha} outside the tabulated conclusions")
-
-
-def _matches_scaled_chebyshev(p: MPoly, d: int, beta: Coefficient) -> bool:
-    y = MPoly.var("y")
-    moved = p.substitute({"y": y.scale(beta)}).scale(beta.inverse())
-    cheb = _monic_chebyshev(d)
-    return moved == cheb or moved == -cheb
+    raise NoCaseMatch(f"alpha = {alpha} outside the tabulated conclusions")
 
 
-def _chebyshev_scaled_pair(p1, p2, d1, d2, order) -> bool:
-    for beta in roots_of_unity(order):
-        if (beta**(d1 - 1)).is_one() and (beta**(d2 - 1)).is_one():
-            if _matches_scaled_chebyshev(p1, d1, beta) and \
-                    _matches_scaled_chebyshev(p2, d2, beta):
-                return True
-    return False
-
-
-def _chebyshev_conjugate_pair(p1, p2, d1, d2, order) -> bool:
-    cs1 = _univariate_coeffs(p1)
-    cs2 = _univariate_coeffs(p2)
-    if len(cs1) != d1 + 1 or len(cs2) != d2 + 1:
-        return False
-    t1 = -cs1[d1 - 1] / (cs1[d1] * d1)
-    t2 = -cs2[d2 - 1] / (cs2[d2] * d2)
-    if t1 != t2:
-        return False
-    theta = t1
-    y = MPoly.var("y")
-    for sign in (1, -1):
-        # leading coefficients force beta^(d1-1) = sign / lead(p1)
-        for beta in kth_roots(cs1[d1].inverse() * Coefficient.rational(sign),
-                              d1 - 1, order):
-            if beta.is_zero():
-                continue
-            shift = y.scale(beta) + MPoly.constant(theta)
-            ok = True
-            for p, d in ((p1, d1), (p2, d2)):
-                moved = (p.substitute({"y": shift})
-                         - MPoly.constant(theta)).scale(beta.inverse())
-                cheb = _monic_chebyshev(d)
-                if moved != cheb and moved != -cheb:
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
+def _shared_conjugacies(p1, p2, d1, d2, order) -> set:
+    """The (beta, theta) of chebyshev_conjugacies common to p1 and p2."""
+    if p1.degree_in("y") != d1 or p2.degree_in("y") != d2:
+        return set()
+    first = {(b, t) for b, t, _s in chebyshev_conjugacies(p1, order)}
+    return first & {(b, t) for b, t, _s in chebyshev_conjugacies(p2, order)}

@@ -333,6 +333,14 @@ class MPoly:
             buckets[k][rest_e] = c
         return [MPoly.make(rest_vars, b) for b in buckets]
 
+    def dense_in(self, name: str) -> list[Coefficient]:
+        """Coefficient list [c0, ..., cd] of a polynomial in `name` alone."""
+        out = [Coefficient.zero()] * (max(self.degree_in(name), 0) + 1)
+        i = self.vars.index(name) if name in self.vars else None
+        for e, c in self.terms.items():
+            out[e[i] if i is not None else 0] = c
+        return out
+
     @staticmethod
     def from_univariate(coeffs: list["MPoly"], name: str) -> "MPoly":
         return MPoly._sum(c * MPoly.var(name, k) for k, c in enumerate(coeffs))
@@ -351,6 +359,14 @@ class MPoly:
     def __str__(self):
         from .render import render_poly
         return render_poly(self)
+
+
+def session_order(*polys: MPoly) -> int:
+    """The least n with every coefficient of every poly in Q(zeta_n)."""
+    n = 1
+    for p in polys:
+        n = lcm(n, p.field_order())
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commend import classify
 from commend.classify import (SWAP, AffineConj, BudgetExceeded,
                               affine_conjugate, disjoint_iterates, recognize,
                               search)
 from commend.endo2 import PlaneEndo, commutes, compose, iterate
-from commend.errors import PreconditionViolated
+from commend.errors import NotExtendable, PreconditionViolated
 from commend.families import chebyshev, ex1, ex2, ex4_descend
 from commend.mpoly import MPoly
 from commend.parse import parse_map_pair
@@ -109,6 +110,27 @@ class TestRecognize:
             g1 = affine_conjugate(DESC2, s)
             g2 = affine_conjugate(DESC3, s)
             assert recognize(g1, g2).tag == "Ex4"
+
+    def test_infinity_class_failure_keeps_default_order(self, monkeypatch):
+        def no_class(_r):
+            raise NotExtendable("no class")
+        monkeypatch.setattr(classify, "classify_infinity", no_class)
+        assert recognize(DESC2, DESC3).tag == "Ex4"
+
+    def test_infinity_class_bug_propagates(self, monkeypatch):
+        def broken(_r):
+            raise TypeError("bug")
+        monkeypatch.setattr(classify, "classify_infinity", broken)
+        with pytest.raises(TypeError):
+            recognize(DESC2, DESC3)
+
+    def test_descent_bug_propagates(self, monkeypatch):
+        # a failing ex4_descend must not read as "not a descent"
+        def broken(_h):
+            raise TypeError("bug")
+        monkeypatch.setattr(classify, "ex4_descend", broken)
+        with pytest.raises(TypeError):
+            recognize(DESC2, DESC3)
 
     def test_verdict_reports_conjugation(self):
         v = recognize(endo("(z1^2 - 2, z2^2 - 2)"),

@@ -110,6 +110,20 @@ class TestCommands:
                         "--f=(w*z1^2, z2^2)", "--n", "1")
         assert code == 0 and rep["result"]["iterate"] == "(w*z1^2, z2^2)"
 
+    def test_classify_params_use_session_root(self, capsys):
+        # lambda_1 = zeta_6 reads w, lambda_2 = zeta_3 = zeta_6 - 1
+        code, rep = run(capsys, "--cyclotomic", "6", "classify",
+                        "--f=(w*z1^2, w*z2^2)",
+                        "--g=(-z1^3 + w*z1^3, -z2^3 + w*z2^3)")
+        assert code == 0 and rep["result"]["params"] == "Ex3(w, -1 + w)"
+
+    def test_parser_keeps_no_flag_between_calls(self, capsys):
+        code, _rep = run(capsys, "--cyclotomic", "3", "iterate",
+                         "--f=(w*z1^2, z2^2)", "--n", "1")
+        assert code == 0
+        code, rep = run(capsys, "iterate", "--f=(w*z1^2, z2^2)", "--n", "1")
+        assert code == 2 and rep["kind"] == "RootOfUnityUndefined"
+
     def test_local_degree(self, capsys):
         code, rep = run(capsys, "local-degree", "--f", DESC_F,
                         "--point", "0,0")
@@ -138,3 +152,9 @@ class TestReports:
         res = rep["result"]
         assert res["total_pairs"] == 3240
         assert res["unknown"] == []
+
+    def test_search_prints_maps_as_pairs(self, capsys):
+        code, rep = run(capsys, "search", "--degrees", "2,3", "--coeffs", "0")
+        assert code == 0
+        pair = rep["result"]["pairs"][0]
+        assert (pair["f1"], pair["f2"]) == ("(z1^2, z2^2)", "(z1^3, z2^3)")

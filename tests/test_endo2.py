@@ -105,6 +105,14 @@ class TestInvariance:
         assert is_totally_invariant(POW2, z1)
         assert not is_totally_invariant(DESC2, PHI)
 
+    def test_total_invariance_propagates_bugs(self, monkeypatch):
+        # only a failed exact division reads as "not totally invariant"
+        def broken(self, other):
+            raise TypeError("bug")
+        monkeypatch.setattr(MPoly, "exact_divide", broken)
+        with pytest.raises(TypeError):
+            is_totally_invariant(POW2, MPoly.var("z1"))
+
     def test_ramified_square_invariance(self):
         w2 = ramified_square_invariance(DESC2, PHI)
         w3 = ramified_square_invariance(DESC3, PHI)

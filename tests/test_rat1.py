@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from commend.errors import NoCaseMatch, PreconditionViolated
 from commend.families import chebyshev, elliptic_lattes, EllipticCurveData
-from commend.mpoly import MPoly
+from commend.mpoly import MPoly, gcd_poly
 from commend.parse import parse_poly
 from commend.rat1 import (POINT_INF, Orbifold1, RatMap1, affine_point,
                           classify_infinity, commutes1, compose1,
@@ -46,6 +46,14 @@ class TestRatMap1:
         assert compose1(TCHEB2, TCHEB3) == poly_map("x^6 - 6*x^4 + 9*x^2 - 2")
         assert commutes1(TCHEB2, TCHEB3)
         assert not commutes1(TCHEB2, poly_map("x^3"))
+
+    def test_composite_forms_coprime(self):
+        # nondegenerate maps compose to forms with no common zero
+        maps = (SQUARE, TCHEB2, TCHEB3, LATTES2)
+        for r1 in maps:
+            for r2 in maps:
+                c = compose1(r1, r2)
+                assert gcd_poly(c.formS, c.formT).is_constant()
 
     def test_projective_equality(self):
         r1 = RatMap1(parse_poly("2*s^2"), parse_poly("2*t^2"))
