@@ -1,5 +1,6 @@
 """Recognition of commuting pairs against the standard families, plus a
-bounded grid search over small integer coefficient supports.
+grid search over small integer coefficient supports that solves the
+conditions of f o g == g o f linear in g for each f's one possible partner.
 
 The conjugation search group is (diagonal or antidiagonal linear part) times
 translation; pairs conjugate only through maps outside this group come back
@@ -8,6 +9,7 @@ Unknown.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -17,7 +19,7 @@ from .errors import (BudgetExceeded, CommendError, NotCommuting,
                      PreconditionViolated, ScalarNotSolvable)
 from .families import (FamilyTag, chebyshev, chebyshev_conjugacies,
                        depression_shift, ex1, ex2, ex3_lift, ex4_descend)
-from .field import Coefficient, kth_roots, roots_of_unity
+from .field import Coefficient, _solve_linear, kth_roots, roots_of_unity
 from .mpoly import MPoly, session_order
 from .rat1 import RatMap1, classify_infinity
 
@@ -49,11 +51,6 @@ class AffineConj:
     def determinant(self) -> Coefficient:
         (a, b), (c, d) = self.linear
         return a * d - b * c
-
-    @property
-    def swap_flag(self) -> bool:
-        (a, b), (c, d) = self.linear
-        return a.is_zero() and d.is_zero()
 
     @staticmethod
     def identity() -> "AffineConj":
@@ -443,52 +440,78 @@ class SearchSummary:
         }
 
 
+_GRID_PARAMS = {2: 4, 3: 3}
+
+
 def _grid_maps(d: int, coeffs):
-    """Monic-top support grids; integer coefficient tuples."""
-    coeffs = sorted(coeffs)
+    """Parameter tuples of the monic-top support grid of degree d."""
+    if d not in _GRID_PARAMS:
+        raise ValueError("grid supports degrees 2 and 3 only")
+    return list(itertools.product(sorted(coeffs), repeat=_GRID_PARAMS[d]))
+
+
+def _grid_endo(d: int, params):
+    """Components of the degree-d grid map; params are ints or MPoly vars."""
     if d == 2:
-        return [(2, (a, b, c, e))
-                for a in coeffs for b in coeffs for c in coeffs for e in coeffs]
-    if d == 3:
-        return [(3, (a, b, dd)) for a in coeffs for b in coeffs for dd in coeffs]
-    raise ValueError("grid supports degrees 2 and 3 only")
+        a, b, c, e = map(MPoly.coerce, params)
+        return Z1**2 + Z2 * a + b, Z2**2 + Z1 * c + e
+    a, b, dd = map(MPoly.coerce, params)
+    return Z1**3 + Z1 * Z2 * a + Z1 * b, Z2**3 + Z2 * dd
 
 
-def _grid_apply(m, x, y):
-    d, cs = m
-    if d == 2:
-        a, b, c, e = cs
-        return x * x + a * y + b, y * y + c * x + e
-    a, b, dd = cs
-    return x * x * x + a * x * y + b * x, y * y * y + dd * y
+@functools.cache
+def _partner_system(d1: int, d2: int):
+    """The separable part of f o g == g o f for grid maps f of degree d1
+    (parameters u0, u1, ...) and g of degree d2 (v0, v1, ...).
+
+    Returns (f_only, lhs, rhs): every polynomial of f_only, in the u alone,
+    vanishes, and lhs . v == -rhs(u), with lhs a constant rational matrix of
+    full column rank, so each f has at most one partner.  A condition with a
+    term of degree two or more in the v, or mixing u and v, is left to the
+    exact commutes check.
+    """
+    vs = [f"v{k}" for k in range(_GRID_PARAMS[d2])]
+    f = _grid_endo(d1, [MPoly.var(f"u{k}") for k in range(_GRID_PARAMS[d1])])
+    g = _grid_endo(d2, [MPoly.var(v) for v in vs])
+    f_only, lhs, rhs = [], [], []
+    for fc, gc in zip(f, g):
+        diff = fc.substitute({"z1": g[0], "z2": g[1]}) \
+            - gc.substitute({"z1": f[0], "z2": f[1]})
+        for by_z1 in diff.univariate_in("z1"):
+            for cond in by_z1.univariate_in("z2"):
+                free = cond.substitute(dict.fromkeys(vs, 0))
+                linear = cond - free
+                if any(sum(e) != 1 for e in linear.terms):
+                    continue
+                if linear.terms:
+                    lhs.append(tuple(
+                        linear.coefficient_of({v: 1}).rational_value
+                        for v in vs))
+                    rhs.append(free)
+                elif free.terms:
+                    f_only.append(free)
+    if not lhs or _solve_linear(lhs, [0] * len(lhs)) is None:
+        raise AssertionError(f"grid partner system for degrees {(d1, d2)} "
+                             "lacks full column rank")
+    return tuple(f_only), tuple(lhs), tuple(rhs)
 
 
-def _grid_endo(m) -> PlaneEndo:
-    d, cs = m
-    if d == 2:
-        a, b, c, e = cs
-        return PlaneEndo(Z1**2 + Z2.scale(a) + MPoly.constant(b),
-                         Z2**2 + Z1.scale(c) + MPoly.constant(e))
-    a, b, dd = cs
-    return PlaneEndo(Z1**3 + (Z1 * Z2).scale(a) + Z1.scale(b),
-                     Z2**3 + Z2.scale(dd))
-
-
-_PROBES = ((2, 3), (-1, 2), (3, -2))
-
-
-def _probe_commutes(m1, m2) -> bool:
-    for pt in _PROBES:
-        v1 = _grid_apply(m1, *pt)
-        v2 = _grid_apply(m2, *pt)
-        if _grid_apply(m1, *v2) != _grid_apply(m2, *v1):
-            return False
-    return True
-
-
-def _map_repr(m) -> str:
-    f = _grid_endo(m)
-    return f"({f.comp1}, {f.comp2})"
+def _candidate_pairs(d1: int, d2: int, maps1, maps2):
+    """The (f, g) whose parameters satisfy the separable conditions; when
+    d1 == d2, only g after f in the grid."""
+    f_only, lhs, rhs = _partner_system(d1, d2)
+    index2 = {m: j for j, m in enumerate(maps2)}
+    pairs = []
+    for i, m1 in enumerate(maps1):
+        point = {f"u{k}": x for k, x in enumerate(m1)}
+        if any(not p.evaluate(point).is_zero() for p in f_only):
+            continue
+        v = _solve_linear(lhs,
+                          [-p.evaluate(point).rational_value for p in rhs])
+        j = None if v is None else index2.get(tuple(v))
+        if j is not None and (d1 != d2 or j > i):
+            pairs.append((m1, maps2[j]))
+    return pairs
 
 
 def search(degree_pair, coefficient_set, report_sink=None,
@@ -501,40 +524,17 @@ def search(degree_pair, coefficient_set, report_sink=None,
         return summary
     maps1 = _grid_maps(d1, coeffs)
     maps2 = maps1 if d1 == d2 else _grid_maps(d2, coeffs)
+    n1, n2 = len(maps1), len(maps2)
+    total = n1 * (n1 - 1) // 2 if d1 == d2 else n1 * n2
+    if pair_budget is not None and total > pair_budget:
+        summary.total_pairs = pair_budget
+        raise BudgetExceeded("pair budget exhausted", partial=summary)
+    summary.total_pairs = total
+    candidates = _candidate_pairs(d1, d2, maps1, maps2)
+    summary.probe_pass = len(candidates)
 
-    # first probe values are shared across all pairs; precompute them
-    first1 = [_grid_apply(m, *_PROBES[0]) for m in maps1]
-    first2 = first1 if d1 == d2 else [_grid_apply(m, *_PROBES[0]) for m in maps2]
-
-    def pair_iter():
-        if d1 == d2:
-            n = len(maps1)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    yield i, j
-        else:
-            for i in range(len(maps1)):
-                for j in range(len(maps2)):
-                    yield i, j
-
-    examined = 0
-    survivors = []
-    for i, j in pair_iter():
-        examined += 1
-        if pair_budget is not None and examined > pair_budget:
-            summary.total_pairs = examined - 1
-            raise BudgetExceeded("pair budget exhausted", partial=summary)
-        m1, m2 = maps1[i], maps2[j]
-        if _grid_apply(m1, *first2[j]) != _grid_apply(m2, *first1[i]):
-            continue
-        if not _probe_commutes(m1, m2):
-            continue
-        survivors.append((m1, m2))
-    summary.total_pairs = examined
-    summary.probe_pass = len(survivors)
-
-    for m1, m2 in survivors:
-        f1, f2 = _grid_endo(m1), _grid_endo(m2)
+    for m1, m2 in candidates:
+        f1, f2 = PlaneEndo(*_grid_endo(d1, m1)), PlaneEndo(*_grid_endo(d2, m2))
         if not commutes(f1, f2):
             continue
         summary.commuting += 1
@@ -546,8 +546,8 @@ def search(degree_pair, coefficient_set, report_sink=None,
         summary.disjoint += 1
         verdict = recognize(f1, f2, degree_cap)
         record = {
-            "f1": _map_repr(m1),
-            "f2": _map_repr(m2),
+            "f1": f"({f1.comp1}, {f1.comp2})",
+            "f2": f"({f2.comp1}, {f2.comp2})",
             "tag": verdict.tag,
             "params": str(verdict.params) if verdict.params else None,
         }

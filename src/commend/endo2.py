@@ -90,13 +90,6 @@ class CurveDivisor:
     def total_degree(self) -> int:
         return sum(m * p.total_degree() for p, m in self.parts)
 
-    def multiplicity_of(self, g: MPoly) -> int:
-        g = g.monic()
-        for p, m in self.parts:
-            if p == g:
-                return m
-        return 0
-
 
 @dataclass(frozen=True)
 class ExceptionalReport:
@@ -214,7 +207,8 @@ def ramified_square_invariance(f: PlaneEndo, phi: MPoly) -> MPoly:
     pulled = phi.substitute({"z1": f.comp1, "z2": f.comp2})
     quotient = pulled.exact_divide(phi)
     w = poly_sqrt(quotient)
-    assert phi * w * w == pulled
+    if phi * w * w != pulled:
+        raise AssertionError("ramified_square_invariance: phi W^2 != phi o f")
     return w
 
 
@@ -422,7 +416,8 @@ def invariant_lines(f: PlaneEndo) -> ExceptionalReport:
         lines.append(z1 - MPoly.constant(c0))
     out = []
     for line in lines:
-        assert is_invariant_curve(f, line)
+        if not is_invariant_curve(f, line):
+            raise AssertionError(f"invariant_lines: {line} is not invariant")
         out.append((line, is_totally_invariant(f, line)))
     return ExceptionalReport(tuple(out), includes_infinity=extends_to_p2(f))
 

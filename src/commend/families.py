@@ -196,8 +196,9 @@ def ex4_descend(h: MPoly) -> PlaneEndo:
     # exact conjugation check through the quotient map
     pi1, pi2 = X + Y, X * Y
     bind = {"z1": pi1, "z2": pi2}
-    assert f.comp1.substitute(bind) == hx + hy
-    assert f.comp2.substitute(bind) == hx * hy
+    if f.comp1.substitute(bind) != hx + hy \
+            or f.comp2.substitute(bind) != hx * hy:
+        raise AssertionError("ex4_descend: the map does not descend (h, h)")
     return f
 
 

@@ -110,8 +110,8 @@ def _reduce_mod_cyclotomic(coeffs: list[Fraction], n: int) -> list[Fraction]:
 def _solve_linear(matrix, rhs):
     """Solve matrix @ x = rhs over Q; matrix given as list of row tuples.
 
-    Returns the solution list or None when inconsistent.  The systems here
-    always have full column rank (field basis images are independent).
+    Returns the solution list, or None when the system is inconsistent or
+    lacks full column rank (a zero right-hand side tests the rank alone).
     """
     rows = [list(r) + [v] for r, v in zip(matrix, rhs)]
     ncols = len(matrix[0]) if matrix else 0

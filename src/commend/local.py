@@ -294,10 +294,13 @@ def prop2_reduce(f1: LocalFrame, f2: LocalFrame):
         degrees.append(d)
         hs.append(h)
     d1, d2 = degrees
-    for m in range(5):
-        for n in range(5):
-            if (m, n) != (0, 0) and d1**m == d2**n:
-                raise PreconditionViolated("degrees share a common power")
+    # d1, d2 are powers of one integer exactly when dividing the larger by
+    # the smaller, as long as it divides, ends at two equal degrees
+    a, b = sorted(degrees)
+    while a != b and b % a == 0:
+        a, b = sorted((a, b // a))
+    if a == b:
+        raise PreconditionViolated("degrees share a common power")
     alpha = max(alpha_exponent(hs[0]), alpha_exponent(hs[1]))
     ps = [quasi_part(h, alpha).substitute({"x": MPoly.one()}) for h in hs]
     p1, p2 = ps

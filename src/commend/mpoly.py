@@ -670,5 +670,6 @@ def poly_sqrt(p: MPoly) -> MPoly:
     root = MPoly.constant(_coefficient_sqrt(unit, p.field_order()))
     for f, m in factors:
         root = root * f ** (m // 2)
-    assert root * root == p
+    if root * root != p:
+        raise AssertionError("poly_sqrt: the root does not square to p")
     return _sign_normalize(root)

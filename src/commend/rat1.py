@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import inf
 
 from .errors import (BadPointCount, InfinityWeightViolation, NoCaseMatch,
                      PreconditionViolated)
 from .field import Coefficient
 from .mpoly import (MPoly, binary_form_resultant, gcd_poly, rational_roots,
-                    resultant, squarefree_decompose)
+                    resultant, squarefree_decompose, squarefree_part)
 
 # ---------------------------------------------------------------------------
 # Projective points
@@ -506,9 +507,9 @@ def _critical_points_rational(r: RatMap1):
     return rational, residual
 
 
-def _critical_values(r: RatMap1):
-    """The set of critical values, or None when any leaves the session field."""
-    rational, residual = _critical_points_rational(r)
+def _critical_values(r: RatMap1, rational, residual):
+    """The set of critical values, or None when any leaves the session field,
+    from the output of _critical_points_rational(r)."""
     values = []
 
     def add(p):
@@ -529,7 +530,6 @@ def _critical_values(r: RatMap1):
         if not gcd_poly(aff, den).is_constant():
             add(POINT_INF)
         if elim.depends_on("y"):
-            from .mpoly import squarefree_part
             sq = squarefree_part(elim)
             roots = rational_roots(sq)
             if len(roots) != sq.total_degree():
@@ -560,7 +560,7 @@ def classify_infinity(r: RatMap1) -> InfinityClass:
     if r.degree < 2:
         raise PreconditionViolated("degree must be at least 2")
     d = r.degree
-    rational, _residual = _critical_points_rational(r)
+    rational, residual = _critical_points_rational(r)
     totally_ramified = [p for p, m in rational if m == d - 1]
     if len(totally_ramified) == 2:
         p1, p2 = totally_ramified
@@ -569,24 +569,22 @@ def classify_infinity(r: RatMap1) -> InfinityClass:
                    or (points_equal(i1, p2) and points_equal(i2, p1)))
         if pair_ok:
             return InfinityClass("PowerLike")
-    for p in totally_ramified:
-        if points_equal(r.apply(p), p):
-            values = _critical_values(r)
-            if values is not None:
-                post = _closure_under(r, values, cap=8)
-                if post is not None:
-                    finite = [v for v in post if not points_equal(v, p)]
-                    if len(finite) <= 2:
-                        marked = [(p, inf)] + [(v, 2) for v in finite]
-                        try:
-                            if is_orbifold_selfcover(r, Orbifold1(tuple(marked))):
-                                return InfinityClass("ChebyshevLike")
-                        except InfinityWeightViolation:
-                            pass
-    # Lattes candidates from the postcritical set
-    values = _critical_values(r)
+    values = _critical_values(r, rational, residual)
     if values is None:
         return InfinityClass("Unknown")
+    for p in totally_ramified:
+        if points_equal(r.apply(p), p):
+            post = _closure_under(r, values, cap=8)
+            if post is not None:
+                finite = [v for v in post if not points_equal(v, p)]
+                if len(finite) <= 2:
+                    marked = [(p, inf)] + [(v, 2) for v in finite]
+                    try:
+                        if is_orbifold_selfcover(r, Orbifold1(tuple(marked))):
+                            return InfinityClass("ChebyshevLike")
+                    except InfinityWeightViolation:
+                        pass
+    # Lattes candidates from the postcritical set
     post = _closure_under(r, values, cap=4)
     if post is None:
         return InfinityClass("Unknown")
@@ -598,7 +596,6 @@ def classify_infinity(r: RatMap1) -> InfinityClass:
         except (ValueError, InfinityWeightViolation):
             pass
     if len(post) == 3:
-        from itertools import permutations
         for sig in ("333", "244", "236"):
             for perm in permutations(post):
                 try:

@@ -1,5 +1,7 @@
 """Affine conjugation, iterate disjointness, pair recognition, grid search."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +10,11 @@ from commend import classify
 from commend.classify import (SWAP, AffineConj, BudgetExceeded,
                               affine_conjugate, disjoint_iterates, recognize,
                               search)
-from commend.endo2 import PlaneEndo, commutes, compose, iterate
+from commend.endo2 import (PlaneEndo, commutes, compose, extends_to_p2,
+                           iterate)
 from commend.errors import NotExtendable, PreconditionViolated
 from commend.families import chebyshev, ex1, ex2, ex4_descend
+from commend.field import _solve_linear
 from commend.mpoly import MPoly
 from commend.parse import parse_map_pair
 
@@ -138,7 +142,101 @@ class TestRecognize:
         assert v.conjugation is not None
 
 
+Z1, Z2 = MPoly.var("z1"), MPoly.var("z2")
+
+
+def _oracle_maps(d, coeffs):
+    if d == 2:
+        return [PlaneEndo(Z1**2 + Z2.scale(a) + MPoly.constant(b),
+                          Z2**2 + Z1.scale(c) + MPoly.constant(e))
+                for a, b, c, e in itertools.product(coeffs, repeat=4)]
+    return [PlaneEndo(Z1**3 + (Z1 * Z2).scale(a) + Z1.scale(b),
+                      Z2**3 + Z2.scale(e))
+            for a, b, e in itertools.product(coeffs, repeat=3)]
+
+
+def brute_force_search(degrees, coeffs):
+    """The search report, less probe_pass, from exact commutes on every
+    pair of the grid."""
+    d1, d2 = degrees
+    maps1 = _oracle_maps(d1, coeffs)
+    pairs = list(itertools.combinations(maps1, 2) if d1 == d2 else
+                 itertools.product(maps1, _oracle_maps(d2, coeffs)))
+    out = {"degrees": [d1, d2], "coefficients": [str(c) for c in coeffs],
+           "total_pairs": len(pairs), "commuting": 0, "extending": 0,
+           "disjoint": 0, "recognized": {}, "unknown": [], "pairs": []}
+    for f1, f2 in pairs:
+        if not commutes(f1, f2):
+            continue
+        out["commuting"] += 1
+        if not (extends_to_p2(f1) and extends_to_p2(f2)):
+            continue
+        out["extending"] += 1
+        if not disjoint_iterates(f1, f2):
+            continue
+        out["disjoint"] += 1
+        verdict = recognize(f1, f2)
+        record = {"f1": f"({f1.comp1}, {f1.comp2})",
+                  "f2": f"({f2.comp1}, {f2.comp2})", "tag": verdict.tag,
+                  "params": str(verdict.params) if verdict.params else None}
+        out["pairs"].append(record)
+        if verdict.tag == "Unknown":
+            out["unknown"].append(record)
+        else:
+            out["recognized"][verdict.tag] = \
+                out["recognized"].get(verdict.tag, 0) + 1
+    for key in ("pairs", "unknown"):
+        out[key].sort(key=lambda r: (r["f1"], r["f2"]))
+    out["recognized"] = dict(sorted(out["recognized"].items()))
+    return out
+
+
 class TestSearch:
+    @pytest.mark.parametrize("degrees,coeffs", [
+        ((2, 3), [0, 2, 3]), ((3, 2), [0, 2, 3]),
+        ((2, 2), [-1, 0, 1]), ((3, 3), [-1, 0, 1])],
+        ids=["2,3", "3,2", "2,2", "3,3"])
+    def test_matches_brute_force(self, degrees, coeffs):
+        report = search(degrees, coeffs).as_dict()
+        assert report["total_pairs"] >= report.pop("probe_pass") \
+            >= report["commuting"]
+        assert report == brute_force_search(degrees, coeffs)
+
+    def test_partner_system_anchors(self):
+        def partner(d1, d2, params):
+            f_only, lhs, rhs = classify._partner_system(d1, d2)
+            point = {f"u{k}": x for k, x in enumerate(params)}
+            if any(not p.evaluate(point).is_zero() for p in f_only):
+                return None
+            return _solve_linear(
+                lhs, [-p.evaluate(point).rational_value for p in rhs])
+
+        # (2,2) and (3,3) force g == f; (2,3) forces c == 0 and
+        # (A, B, D) == 3/2 (a, b, e)
+        assert partner(2, 2, (1, -2, 3, 4)) == [1, -2, 3, 4]
+        assert partner(3, 3, (1, -2, 3)) == [1, -2, 3]
+        assert partner(2, 3, (2, 4, 0, 6)) == [3, 6, 9]
+        assert partner(2, 3, (2, 4, 1, 6)) is None
+        # probe_pass counts the solved pairs: c == 0 and a, b, e in {0, 2}
+        assert search((2, 3), [0, 2, 3]).probe_pass == 8
+
+    def test_rank_deficient_system_raises(self, monkeypatch):
+        # a g parameter seen only squared leaves a zero column: the search
+        # must fail instead of dropping the pairs it could not solve for
+        real = classify._grid_endo
+
+        def squared_first(d, params):
+            first, *rest = params
+            return real(d, [MPoly.coerce(first) ** 2, *rest])
+
+        monkeypatch.setattr(classify, "_grid_endo", squared_first)
+        classify._partner_system.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="full column rank"):
+                search((2, 3), [0, 1])
+        finally:
+            classify._partner_system.cache_clear()
+
     def test_tiny_grid_vacuous(self):
         summary = search((2, 2), [-1, 0, 1])
         assert summary.total_pairs == 3240

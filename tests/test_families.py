@@ -1,5 +1,10 @@
 """Constructors for the standard commuting families."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,6 +130,24 @@ class TestEx4:
         f3 = ex4_descend(X**3)
         assert commutes(f2, f3)
         assert compose(f2, f3) == ex4_descend(X**6)
+
+    def test_descent_guard_survives_optimize(self):
+        # the exact check in ex4_descend must raise under python -O too
+        code = textwrap.dedent("""
+            from commend import families
+            from commend.mpoly import MPoly
+            real = families.sym_reduce
+            families.sym_reduce = lambda s: real(s) + MPoly.one()
+            try:
+                families.ex4_descend(MPoly.var("x") ** 2)
+            except AssertionError:
+                raise SystemExit(0)
+            raise SystemExit(1)
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+        assert proc.returncode == 0
 
     def test_descend_chebyshev(self):
         h = chebyshev(2, "monic")

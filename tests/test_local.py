@@ -3,7 +3,8 @@
 import pytest
 
 from commend.endo2 import PlaneEndo
-from commend.errors import (CommutationFails, NotIsolated, ShapeMismatch)
+from commend.errors import (CommutationFails, NotIsolated,
+                             PreconditionViolated, ShapeMismatch)
 from commend.local import (LocalFrame, alpha_exponent, d_alpha,
                            intersection_mult, local_degree, prop2_reduce,
                            quasi_part, verify_lemma3, verify_lemma4)
@@ -107,6 +108,14 @@ class TestProp2Reduce:
         alpha, p1, p2, case = prop2_reduce(f1, f2)
         assert alpha == 2 and case == 3
         assert p1 == parse_poly("y^2 - 2") and p2 == parse_poly("y^3 - 3*y")
+
+    @pytest.mark.parametrize("d1,d2", [(2, 16), (2, 32), (4, 8), (3, 3)])
+    def test_degrees_sharing_a_power_rejected(self, d1, d2):
+        # 2^5 == 32 and 4^3 == 8^2: no bound on the exponents
+        f1 = LocalFrame.at(endo(f"(z1^{d1}, z2^{d1})"), (0, 0))
+        f2 = LocalFrame.at(endo(f"(z1^{d2}, z2^{d2})"), (0, 0))
+        with pytest.raises(PreconditionViolated):
+            prop2_reduce(f1, f2)
 
     def test_incompatible_pair(self):
         f1 = LocalFrame.at(endo("(z1^2, z2^2)"), (0, 0))
