@@ -2,9 +2,18 @@
 grid search over small integer coefficient supports that solves the
 conditions of f o g == g o f linear in g for each f's one possible partner.
 
-The conjugation search group is (diagonal or antidiagonal linear part) times
-translation; pairs conjugate only through maps outside this group come back
-Unknown.
+`recognize` derives a conjugation sigma(z) = L z + t and a normal form of
+one family, and answers only when affine_conjugate(f_i, sigma) equals the
+normal form exactly for both maps.  Ex1, Ex2 and Ex3 have normal forms
+without a degree-(d-1) part, so t comes from one linear solve
+(`_translation`) and L from the coefficients of the centred pair; for Ex4, L
+comes from the top forms (the map at infinity) and t from the same solve.
+
+Guaranteed: a pair conjugate to an Ex1-Ex4 normal-form pair by a sigma with
+L diagonal or antidiagonal, its entries rationals times roots of unity of
+the session field, and t any translation over that field, is recognised.
+A pair conjugate to one only through other affine maps (a shear such as
+(z1 + z2, z2), say) may come back Unknown.
 """
 
 from __future__ import annotations
@@ -13,18 +22,18 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .endo2 import (DEFAULT_DEGREE_CAP, PlaneEndo, _solve_two_var_system,
-                    commutes, extends_to_p2, iterate, restrict_infinity)
+from .endo2 import (DEFAULT_DEGREE_CAP, PlaneEndo, commutes, extends_to_p2,
+                    iterate, restrict_infinity)
 from .errors import (BudgetExceeded, CommendError, NotCommuting,
                      PreconditionViolated, ScalarNotSolvable)
-from .families import (FamilyTag, chebyshev, chebyshev_conjugacies,
-                       depression_shift, ex1, ex2, ex3_lift, ex4_descend)
+from .families import (FamilyTag, chebyshev, chebyshev_conjugacies, ex1,
+                       ex2, ex3_lift, ex4_descend)
 from .field import Coefficient, _solve_linear, kth_roots, roots_of_unity
 from .mpoly import MPoly, session_order
 from .rat1 import RatMap1, classify_infinity
 
 Z1, Z2 = MPoly.var("z1"), MPoly.var("z2")
-Y = MPoly.var("y")
+X, Y = MPoly.var("x"), MPoly.var("y")
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +141,7 @@ def disjoint_iterates(f1: PlaneEndo, f2: PlaneEndo,
 
 
 # ---------------------------------------------------------------------------
-# One-variable conjugacy solvers
+# Conjugation helpers
 # ---------------------------------------------------------------------------
 
 
@@ -143,13 +152,9 @@ def _as_y(p: MPoly) -> MPoly:
 
 def _monomial_coefficient(p: MPoly, var: str, d: int):
     """c when p == c * var^d exactly, else None."""
-    if set(p.vars) - {var}:
-        return None
-    if p.is_zero() or p.is_constant():
-        return None
-    if p.degree_in(var) != d or len(p.terms) != 1:
-        return None
-    return p.leading_coefficient()
+    if set(p.vars) <= {var} and len(p.terms) == 1 and p.degree_in(var) == d:
+        return p.leading_coefficient()
+    return None
 
 
 def _split(f: PlaneEndo):
@@ -162,16 +167,23 @@ def _split(f: PlaneEndo):
     return None
 
 
-def _common_fixed_points(f1: PlaneEndo, f2: PlaneEndo):
-    sols = _solve_two_var_system([f1.comp1 - Z1, f1.comp2 - Z2], "z1", "z2")
-    points = []
-    for u, v in sols:
-        u, v = Coefficient.coerce(u), Coefficient.coerce(v)
-        vals = {"z1": u, "z2": v}
-        if (f2.comp1.evaluate(vals) - u).is_zero() and \
-                (f2.comp2.evaluate(vals) - v).is_zero():
-            points.append((u, v))
-    return points
+def _translation(f: PlaneEndo, target: PlaneEndo | None = None):
+    """The shift s(z) = z + u after which s^-1 o f o s has the degree-(d-1)
+    part of target (zero when target is None), or None.  That part moves by
+    DK_d . u, K_d the top forms of f; when f extends to P^2 they have no
+    common zero, so the columns of DK_d are independent and u is unique."""
+    d = f.degree
+    wants = (MPoly.zero(),) * 2 if target is None else \
+        (target.comp1, target.comp2)
+    rows, rhs = [], []
+    for comp, top, want in zip((f.comp1, f.comp2), f.top_forms(), wants):
+        dz1, dz2 = top.derivative("z1"), top.derivative("z2")
+        for a in range(d):
+            mono = {"z1": a, "z2": d - 1 - a}
+            rows.append((dz1.coefficient_of(mono), dz2.coefficient_of(mono)))
+            rhs.append(want.coefficient_of(mono) - comp.coefficient_of(mono))
+    u = _solve_linear(rows, rhs)
+    return None if u is None else AffineConj.shift(*u)
 
 
 # ---------------------------------------------------------------------------
@@ -190,29 +202,27 @@ class Verdict:
         return self.tag if self.params is None else f"{self.tag}: {self.params}"
 
 
-def _match_ex1(f1: PlaneEndo, f2: PlaneEndo, order: int):
+def _match_ex1(f1, f2, order, centred):
+    centre, c1, c2 = centred
     for base in (AffineConj.identity(), SWAP):
-        h1 = affine_conjugate(f1, base)
-        h2 = affine_conjugate(f2, base)
+        h1 = affine_conjugate(c1, base)
+        h2 = affine_conjugate(c2, base)
         for g1, g2, flipped in ((h1, h2, False), (h2, h1, True)):
             d1, d2 = g1.degree, g2.degree
             s1 = _split(g1)
             s2 = _split(g2)
             if not s1 or not s2 or s1[0] != "straight" or s2[0] != "straight":
                 continue
-            c1 = _monomial_coefficient(g1.comp1, "z1", d1)
-            c2 = _monomial_coefficient(g2.comp1, "z1", d2)
-            if c1 is None or c2 is None:
+            k1 = _monomial_coefficient(g1.comp1, "z1", d1)
+            k2 = _monomial_coefficient(g2.comp1, "z1", d2)
+            if k1 is None or k2 is None:
                 continue
-            p_candidates = kth_roots(c1.inverse(), d1 - 1, order)
             cheb1 = chebyshev_conjugacies(s1[2], order)  # g1's z2 part
-            for p in p_candidates:
-                if p.is_zero():
-                    continue
-                lam = c2 * p**(d2 - 1)
-                for q, theta, sgn1 in cheb1:
-                    sigma = base.compose(
-                        AffineConj.diagonal(p, q, (0, theta)))
+            for p in kth_roots(k1.inverse(), d1 - 1, order):
+                lam = k2 * p**(d2 - 1)
+                for q, _theta, sgn1 in cheb1:
+                    sigma = centre.compose(base).compose(
+                        AffineConj.diagonal(p, q))
                     for sgn2 in (1, -1):
                         try:
                             t1, t2 = ex1(d1, d2, lam, (sgn1, sgn2))
@@ -226,151 +236,133 @@ def _match_ex1(f1: PlaneEndo, f2: PlaneEndo, order: int):
     return None
 
 
-def _ex2_match_map(g: PlaneEndo):
-    """(d, variant, signs) when g is exactly a coordinatewise Chebyshev map."""
+def _ex2_params(g: PlaneEndo):
+    """(d, variant, signs) when g == ex2(d, variant, signs) exactly."""
     split = _split(g)
     if not split:
         return None
-    variant, u, v = split
-    du = u.degree_in("y")
-    if v.degree_in("y") != du or du < 2:
-        return None
-    target = chebyshev(du, "classical").substitute({"x": Y})
-    signs = []
-    for w in (u, v):
-        if w == target:
-            signs.append(1)
-        elif w == -target:
-            signs.append(-1)
-        else:
-            return None
-    return du, "straight" if variant == "straight" else "swap", tuple(signs)
+    lead = Coefficient.rational(2**(g.degree - 1))  # leading coeff of T_d
+    signs = tuple(1 if w.leading_coefficient() == lead else -1
+                  for w in split[1:])
+    params = (g.degree, split[0], signs)
+    return params if g == ex2(*params) else None
 
 
-def _match_ex2(f1: PlaneEndo, f2: PlaneEndo, order: int):
-    s1 = _split(f1)
-    s2 = _split(f2)
+def _ex2_swap_scales(u: MPoly, order: int):
+    """(p, q) with u(y) = sgn*p*T_d(y/q) for a sign sgn (u the centred first
+    component of a map that swaps the coordinates), from the y^d and y^(d-2)
+    coefficients."""
+    d = u.degree_in("y")
+    if d < 2:
+        return []
+    w = u.dense_in("y")
+    tau = chebyshev(d, "classical").substitute({"x": Y}).dense_in("y")
+    if w[d - 2].is_zero():
+        return []
+    ratio = (tau[d] * w[d - 2]) / (tau[d - 2] * w[d])
+    return [(w[d] * q**d / (tau[d] * Coefficient.rational(sgn)), q)
+            for q in kth_roots(ratio, 2, order) for sgn in (1, -1)]
+
+
+def _match_ex2(f1, f2, order, centred):
+    centre, c1, c2 = centred
+    s1 = _split(c1)
+    s2 = _split(c2)
     if not s1 or not s2:
         return None
     p_cands, q_cands = [], []
     for variant, u, v in (s1, s2):
         if variant == "straight":
-            p_cands.extend(chebyshev_conjugacies(u, order))
-            q_cands.extend(chebyshev_conjugacies(v, order))
-    if not p_cands and not q_cands:
-        # both maps swap their coordinates: solve the coupled scale equations
-        u = s1[1]
-        d = u.degree_in("y")
-        if d < 2:
-            return None
-        theta2 = depression_shift(u)
-        w = u.substitute({"y": Y + MPoly.constant(theta2)}).dense_in("y")
-        tau = chebyshev(d, "classical").substitute({"x": Y}).dense_in("y")
-        if len(w) < d + 1 or w[d - 2].is_zero():
-            return None
-        ratio = (tau[d] * w[d - 2]) / (tau[d - 2] * w[d])
-        for q in kth_roots(ratio, 2, order):
-            if q.is_zero():
-                continue
-            for sgn in (1, -1):
-                p = w[d] * q**d / (tau[d] * Coefficient.rational(sgn))
-                theta1 = u.evaluate({"y": theta2}) - p * tau[0] \
-                    * Coefficient.rational(sgn)
-                verdict = _verify_ex2(f1, f2, p, q, theta1, theta2)
-                if verdict:
-                    return verdict
-        return None
-    for p, theta1, _sg in p_cands or [(Coefficient.one(), Coefficient.zero(), 1)]:
-        for q, theta2, _sg2 in q_cands or [(Coefficient.one(), Coefficient.zero(), 1)]:
-            verdict = _verify_ex2(f1, f2, p, q, theta1, theta2)
-            if verdict:
-                return verdict
+            p_cands.extend(b for b, _t, _s in chebyshev_conjugacies(u, order))
+            q_cands.extend(b for b, _t, _s in chebyshev_conjugacies(v, order))
+    if p_cands or q_cands:
+        one = [Coefficient.one()]
+        scales = itertools.product(p_cands or one, q_cands or one)
+    else:
+        scales = _ex2_swap_scales(s1[1], order)
+    for p, q in scales:
+        sigma = centre.compose(AffineConj.diagonal(p, q))
+        m1 = _ex2_params(affine_conjugate(f1, sigma))
+        m2 = m1 and _ex2_params(affine_conjugate(f2, sigma))
+        if m2:
+            return Verdict("Ex2", FamilyTag("Ex2", (m1, m2)), sigma)
     return None
 
 
-def _verify_ex2(f1, f2, p, q, theta1, theta2):
-    if p.is_zero() or q.is_zero():
+def _match_ex3(f1, f2, order, centred):
+    centre, h1, h2 = centred  # h_i = affine_conjugate(f_i, centre)
+    if any(sum(e) != h.degree for h in (h1, h2)
+           for comp in (h.comp1, h.comp2) for e in comp.terms):
+        return None  # not homogeneous
+    lam1 = h1.comp1.leading_coefficient()
+    lam2 = h2.comp1.leading_coefficient()
+    bind = {"z1": MPoly.var("s"), "z2": MPoly.var("t")}
+    try:
+        r1 = RatMap1(h1.comp1.scale(lam1.inverse()).substitute(bind),
+                     h1.comp2.scale(lam1.inverse()).substitute(bind))
+        r2 = RatMap1(h2.comp1.scale(lam2.inverse()).substitute(bind),
+                     h2.comp2.scale(lam2.inverse()).substitute(bind))
+        g1, g2 = ex3_lift(r1, r2, lam1, lam2)
+    except (ValueError, NotCommuting, ScalarNotSolvable):
         return None
-    sigma = AffineConj.diagonal(p, q, (theta1, theta2))
-    h1 = affine_conjugate(f1, sigma)
-    h2 = affine_conjugate(f2, sigma)
-    m1 = _ex2_match_map(h1)
-    m2 = _ex2_match_map(h2)
-    if m1 and m2:
-        assert h1 == ex2(m1[0], m1[1], m1[2])
-        assert h2 == ex2(m2[0], m2[1], m2[2])
-        return Verdict("Ex2", FamilyTag("Ex2", (m1, m2)), sigma)
+    if g1 == h1 and g2 == h2:
+        return Verdict("Ex3", FamilyTag("Ex3", (lam1, lam2)), centre)
     return None
 
 
-def _is_homogeneous(p: MPoly, d: int) -> bool:
-    return not p.is_zero() and all(sum(e) == d for e in p.terms)
-
-
-def _match_ex3(f1: PlaneEndo, f2: PlaneEndo, order: int):
-    shifts = [(Coefficient.zero(), Coefficient.zero())]
-    shifts.extend(_common_fixed_points(f1, f2))
-    seen = set()
-    for t1, t2 in shifts:
-        key = (t1.sort_key(), t2.sort_key())
-        if key in seen:
-            continue
-        seen.add(key)
-        sigma = AffineConj.shift(t1, t2)
-        h1 = affine_conjugate(f1, sigma)
-        h2 = affine_conjugate(f2, sigma)
-        d1, d2 = h1.degree, h2.degree
-        if not (_is_homogeneous(h1.comp1, d1) and _is_homogeneous(h1.comp2, d1)
-                and _is_homogeneous(h2.comp1, d2)
-                and _is_homogeneous(h2.comp2, d2)):
-            continue
-        lam1 = h1.comp1.leading_coefficient()
-        lam2 = h2.comp1.leading_coefficient()
-        bind = {"z1": MPoly.var("s"), "z2": MPoly.var("t")}
-        try:
-            r1 = RatMap1(h1.comp1.scale(lam1.inverse()).substitute(bind),
-                         h1.comp2.scale(lam1.inverse()).substitute(bind))
-            r2 = RatMap1(h2.comp1.scale(lam2.inverse()).substitute(bind),
-                         h2.comp2.scale(lam2.inverse()).substitute(bind))
-            g1, g2 = ex3_lift(r1, r2, lam1, lam2)
-        except (ValueError, NotCommuting, ScalarNotSolvable):
-            continue
-        if g1 == h1 and g2 == h2:
-            return Verdict("Ex3", FamilyTag("Ex3", (lam1, lam2)), sigma)
-    return None
-
-
-def _undescend(g: PlaneEndo):
-    axis = g.comp1.substitute({"z2": MPoly.zero()})
-    half = g.comp1.evaluate(
-        {"z1": Coefficient.zero(), "z2": Coefficient.zero()}) \
-        / Coefficient.rational(2)
-    h = axis.substitute({"z1": MPoly.var("x")}) - MPoly.constant(half)
-    if h.is_constant():
+def _descent_poly(g: PlaneEndo):
+    """h read off the top forms of g, which for ex4_descend(h) are
+    (a*z1^d, a*z1^d*h(z2/z1)) with a the leading coefficient of h; or None."""
+    t1, t2 = g.top_forms()
+    a = _monomial_coefficient(t1, "z1", g.degree)
+    if a is None:
         return None
-    return h if ex4_descend(h) == g else None
+    h = t2.substitute({"z1": MPoly.one(), "z2": X}).scale(a.inverse())
+    return None if h.is_constant() else h
 
 
-def _match_ex4(f1: PlaneEndo, f2: PlaneEndo, order: int):
-    units = roots_of_unity(order)
-    sigmas = [AffineConj.identity()]
-    for p in units:
-        for q in units:
-            sigmas.append(AffineConj.diagonal(p, q))
-            sigmas.append(AffineConj.antidiagonal(p, q))
-    tried = set()
-    for sigma in sigmas:
-        key = (tuple(c.sort_key() for row in sigma.linear for c in row))
-        if key in tried:
+def _match_ex4(f1, f2, order, _centred):
+    # Descents are stable under diag(b, b^2) (h -> h(b*x)/b), so with
+    # base o diag(1, q) every base o diag(b, q*b^2) works.  q is read off the
+    # first component of diag(1, q) o descent o diag(1, 1/q): coefficients a
+    # of z1^d and -d*a/q of z1^(d-2)*z2, which no shift moves.  Each family
+    # is tried through its first member in the order identity, then
+    # (anti)diagonal(p, q) over roots of unity p, q in sort order: the order
+    # of the earlier root-of-unity search, whose verdicts keep their bytes.
+    rank = {u: i for i, u in enumerate(roots_of_unity(order))}
+    tries = []
+    for swapped, base in enumerate((AffineConj.identity(), SWAP)):
+        g = affine_conjugate(f1, base) if swapped else f1
+        d = g.degree
+        a = _monomial_coefficient(g.top_forms()[0], "z1", d)
+        c = g.comp1.coefficient_of({"z1": d - 2, "z2": 1})
+        if a is None or c.is_zero():
             continue
-        tried.add(key)
-        h1 = _undescend(affine_conjugate(f1, sigma))
-        if h1 is None:
+        q = -a * d / c
+        key, beta = (2, swapped), Coefficient.one()
+        for b in rank:
+            s = q * b * b
+            if s in rank:
+                p_, q_ = (s, b) if swapped else (b, s)
+                k = (0,) if not swapped and p_ == 1 and q_ == 1 else \
+                    (1, rank[p_], rank[q_], swapped)
+                if k < key:
+                    key, beta = k, b
+        tries.append((key, base.compose(
+            AffineConj.diagonal(beta, q * beta * beta))))
+    for _key, linear in sorted(tries, key=lambda t: t[0]):
+        g1, g2 = affine_conjugate(f1, linear), affine_conjugate(f2, linear)
+        h1, h2 = _descent_poly(g1), _descent_poly(g2)
+        if h1 is None or h2 is None:
             continue
-        h2 = _undescend(affine_conjugate(f2, sigma))
-        if h2 is None:
+        want1, want2 = ex4_descend(h1), ex4_descend(h2)
+        shift = _translation(g1, want1)
+        if shift is None:
             continue
-        return Verdict("Ex4", FamilyTag("Ex4", (h1, h2)), sigma)
+        sigma = linear.compose(shift)
+        if affine_conjugate(f1, sigma) == want1 and \
+                affine_conjugate(f2, sigma) == want2:
+            return Verdict("Ex4", FamilyTag("Ex4", (h1, h2)), sigma)
     return None
 
 
@@ -399,8 +391,16 @@ def recognize(f1: PlaneEndo, f2: PlaneEndo,
         matchers = [_match_ex2, _match_ex4, _match_ex1, _match_ex3]
     elif "LattesLike" in tags:
         matchers = [_match_ex3, _match_ex1, _match_ex2, _match_ex4]
+    centre = _translation(f1)
+    centred = None
+    if centre is None:
+        # no shift clears the degree-(d-1) part: only Ex4 can match
+        matchers = [_match_ex4]
+    else:
+        centred = (centre, affine_conjugate(f1, centre),
+                   affine_conjugate(f2, centre))
     for matcher in matchers:
-        verdict = matcher(f1, f2, order)
+        verdict = matcher(f1, f2, order, centred)
         if verdict:
             return Verdict(verdict.tag, verdict.params, verdict.conjugation,
                            degree_cap)

@@ -107,7 +107,8 @@ def commutes(f: PlaneEndo, g: PlaneEndo) -> bool:
 
 
 def iterate(f: PlaneEndo, n: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> PlaneEndo:
-    assert n >= 0
+    if n < 0:
+        raise PreconditionViolated("iterate count must be nonnegative")
     if f.degree**n > degree_cap:
         raise DegreeLimitExceeded(f"degree {f.degree}^{n} exceeds cap {degree_cap}")
     result = PlaneEndo.identity()

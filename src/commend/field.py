@@ -108,36 +108,30 @@ def _reduce_mod_cyclotomic(coeffs: list[Fraction], n: int) -> list[Fraction]:
 
 
 def _solve_linear(matrix, rhs):
-    """Solve matrix @ x = rhs over Q; matrix given as list of row tuples.
+    """Solve matrix @ x = rhs over Q or Q(zeta_n); matrix given as list of
+    row tuples of Fraction or Coefficient entries.
 
     Returns the solution list, or None when the system is inconsistent or
     lacks full column rank (a zero right-hand side tests the rank alone).
     """
     rows = [list(r) + [v] for r, v in zip(matrix, rhs)]
     ncols = len(matrix[0]) if matrix else 0
-    pivots = []
-    r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        # column c gets its pivot in row c, or the rank is short
+        pivot = next((i for i in range(c, len(rows)) if rows[i][c] != 0),
+                     None)
         if pivot is None:
             return None
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pr = rows[r]
-        inv = 1 / pr[c]
-        rows[r] = [x * inv for x in pr]
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = 1 / rows[c][c]
+        rows[c] = [x * inv for x in rows[c]]
         for i in range(len(rows)):
-            if i != r and rows[i][c]:
+            if i != c and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][-1]:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][-1]
-    return sol
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    if any(row[-1] != 0 for row in rows[ncols:]):
+        return None
+    return [row[-1] for row in rows[:ncols]]
 
 
 class Coefficient:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from commend.errors import (NotASquare, NotDivisible, ParseError,
                             UnknownVariable)
-from commend.field import Coefficient, euler_phi, kth_roots, roots_of_unity
+from commend.field import (Coefficient, _solve_linear, euler_phi, kth_roots,
+                           roots_of_unity)
 from commend.mpoly import (MPoly, binary_form_resultant, gcd_poly, poly_sqrt,
                            rational_roots, resultant, squarefree_decompose,
                            squarefree_part)
@@ -109,6 +110,18 @@ class TestCoefficient:
         assert kth_roots(Coefficient.rational(r**3), 3) == [Coefficient.rational(r)]
         roots = kth_roots(Coefficient.rational(10**400), 2)
         assert sorted(x.rational_value for x in roots) == [-10**200, 10**200]
+
+    def test_solve_linear_over_cyclotomic_field(self):
+        # a zero Coefficient is truthy, so pivots are tested against 0
+        w = Coefficient.root_of_unity(3)
+        zero, one = Coefficient.zero(), Coefficient.one()
+        x = [one + w, Coefficient.rational(Fraction(1, 2))]
+        matrix = [(zero, one), (w, Coefficient.rational(2))]
+        rhs = [sum((a * b for a, b in zip(row, x)), zero) for row in matrix]
+        assert _solve_linear(matrix, rhs) == x
+        # a second row proportional to the first: rank 1
+        assert _solve_linear([(one, w), (w, w * w)], [zero, zero]) is None
+        assert _solve_linear([(zero, one), (zero, w)], [one, w]) is None
 
 
 class TestMPoly:

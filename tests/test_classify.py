@@ -1,9 +1,10 @@
 """Affine conjugation, iterate disjointness, pair recognition, grid search."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commend import classify
@@ -17,6 +18,7 @@ from commend.families import chebyshev, ex1, ex2, ex4_descend
 from commend.field import _solve_linear
 from commend.mpoly import MPoly
 from commend.parse import parse_map_pair
+from test_reports import criterion_10_base
 
 X = MPoly.var("x")
 
@@ -30,6 +32,11 @@ DESC3 = ex4_descend(X**3)
 
 units = st.sampled_from([1, -1])
 shifts = st.integers(min_value=-2, max_value=2)
+scales = st.sampled_from([Fraction(x) for x in
+                          ("1", "-1", "2", "-2", "1/2", "-1/2", "3", "-2/3")])
+translations = st.sampled_from([Fraction(x) for x in
+                                ("0", "1", "-1", "1/2", "-1/3")])
+CRITERION_10_BASE = criterion_10_base()
 
 
 class TestAffineConj:
@@ -140,6 +147,38 @@ class TestRecognize:
         v = recognize(endo("(z1^2 - 2, z2^2 - 2)"),
                       endo("(z1^3 - 3*z1, z2^3 - 3*z2)"))
         assert v.conjugation is not None
+
+    @given(st.integers(min_value=0, max_value=19),
+           st.sampled_from([AffineConj.diagonal, AffineConj.antidiagonal]),
+           scales, scales, translations, translations)
+    @example(0, AffineConj.diagonal, 2, 3, 1, -1)    # ex1(2, 3, 1)
+    @example(14, AffineConj.diagonal, 2, 3, 1, -1)   # descents of x^2, x^3
+    @settings(max_examples=40, deadline=None)
+    def test_invariant_under_the_documented_group(self, index, kind, p, q,
+                                                  t1, t2):
+        tag, f1, f2 = CRITERION_10_BASE[index]
+        s = kind(p, q, (t1, t2))
+        g1, g2 = affine_conjugate(f1, s), affine_conjugate(f2, s)
+        v = recognize(g1, g2)
+        assert v.tag == tag
+        h1 = affine_conjugate(g1, v.conjugation)
+        h2 = affine_conjugate(g2, v.conjugation)
+        assert (h1, h2) == _normal_forms(v, h1, h2)
+
+
+def _normal_forms(v, h1, h2):
+    """The pair of normal forms named by a verdict's params (for Ex3, the
+    conjugates themselves when they are homogeneous)."""
+    if v.tag == "Ex1":
+        f1, f2 = ex1(*v.params.params)
+        return (f1, f2) if (h1, h2) == (f1, f2) else (f2, f1)
+    if v.tag == "Ex2":
+        return tuple(ex2(*m) for m in v.params.params)
+    if v.tag == "Ex3":
+        homogeneous = all(sum(e) == h.degree for h in (h1, h2)
+                          for c in (h.comp1, h.comp2) for e in c.terms)
+        return (h1, h2) if homogeneous else None
+    return tuple(ex4_descend(h) for h in v.params.params)
 
 
 Z1, Z2 = MPoly.var("z1"), MPoly.var("z2")

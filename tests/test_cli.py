@@ -40,6 +40,12 @@ class TestExitCodes:
         assert code == 3
         assert rep["partial"]["total_pairs"] == 10
 
+    def test_negative_iterate_count(self, capsys):
+        # an input error (exit 2), also under python -O
+        code, rep = run(capsys, "iterate", "--f", "(z1^2, z2^2)", "--n", "-1")
+        assert code == 2
+        assert rep["kind"] == "PreconditionViolated"
+
 
 class TestCommands:
     def test_classify_descent_pair(self, capsys):
