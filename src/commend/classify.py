@@ -22,8 +22,8 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .endo2 import (DEFAULT_DEGREE_CAP, PlaneEndo, commutes, extends_to_p2,
-                    iterate, restrict_infinity)
+from .endo2 import (DEFAULT_DEGREE_CAP, PlaneEndo, commutes, compose,
+                    extends_to_p2, iterate, restrict_infinity)
 from .errors import (BudgetExceeded, CommendError, NotCommuting,
                      PreconditionViolated, ScalarNotSolvable)
 from .families import (FamilyTag, chebyshev, chebyshev_conjugacies, ex1,
@@ -125,19 +125,28 @@ def affine_conjugate(f: PlaneEndo, s: AffineConj) -> PlaneEndo:
 
 def disjoint_iterates(f1: PlaneEndo, f2: PlaneEndo,
                       degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
+    """True when no iterates f1^n == f2^m with d1^n == d2^m <= degree_cap.
+
+    Those (n, m) are the multiples of the least such pair (n0, m0), so
+    f1^n0 and f2^m0 are composed onto the iterates one step at a time.
+    """
     d1, d2 = f1.degree, f2.degree
-    for n in range(1, 64):
-        dn = d1**n
+    if d1 == d2 == 1:
+        raise PreconditionViolated("one of the maps must have degree at least 2")
+    exps = range(1, degree_cap.bit_length() + 1)
+    pair = next(((n, m) for n in exps for m in exps
+                 if d1**n == d2**m <= degree_cap), None)
+    if pair is None:
+        return True
+    n0, m0 = pair
+    step1, step2 = iterate(f1, n0, degree_cap), iterate(f2, m0, degree_cap)
+    g1, g2, dn = step1, step2, d1**n0
+    while g1 != g2:
+        dn *= d1**n0
         if dn > degree_cap:
-            break
-        for m in range(1, 64):
-            dm = d2**m
-            if dm > degree_cap:
-                break
-            if dn == dm:
-                if iterate(f1, n, degree_cap) == iterate(f2, m, degree_cap):
-                    return False
-    return True
+            return True
+        g1, g2 = compose(step1, g1), compose(step2, g2)
+    return False
 
 
 # ---------------------------------------------------------------------------

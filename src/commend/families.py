@@ -14,7 +14,7 @@ from .errors import (NotCommuting, NotSplit, NotSymmetric, PreconditionViolated,
                      ScalarNotSolvable)
 from .field import Coefficient, kth_roots
 from .mpoly import MPoly, gcd_poly, rational_roots
-from .rat1 import POINT_INF, Orbifold1, RatMap1, affine_point
+from .rat1 import POINT_INF, Orbifold1, RatMap1, affine_point, homogenise
 
 X, Y = MPoly.var("x"), MPoly.var("y")
 Z1, Z2 = MPoly.var("z1"), MPoly.var("z2")
@@ -175,7 +175,8 @@ def sym_reduce(s: MPoly) -> MPoly:
         a = best[ix] if ix is not None else 0
         b = best[iy] if iy is not None else 0
         c = rem.terms[best]
-        assert a >= b
+        if a < b:
+            raise AssertionError("symmetric remainder: lex-leading term has a < b")
         basis = (e1**(a - b) * e2**b).scale(c)
         out = out + basis
         rem = rem - (e1_xy**(a - b) * e2_xy**b).scale(c)
@@ -287,23 +288,16 @@ def elliptic_lattes(curve: EllipticCurveData, n: int) -> RatMap1:
     psi, reduce = _division_polys(curve, n + 1)
     num = reduce(X * psi[n]**2 - psi[n - 1] * psi[n + 1])
     den = reduce(psi[n]**2)
-    assert not num.depends_on("y") and not den.depends_on("y")
+    if num.depends_on("y") or den.depends_on("y"):
+        raise AssertionError("the x-coordinate of [n]P still depends on y")
     g = gcd_poly(num, den)
     if not g.is_constant():
         num = num.exact_divide(g)
         den = den.exact_divide(g)
     deg = n * n
-
-    def homogenize(p: MPoly) -> MPoly:
-        s, t = MPoly.var("s"), MPoly.var("t")
-        out = MPoly.zero()
-        for e, c in p.terms.items():
-            k = e[0] if p.vars else 0
-            out = out + (t**k * s**(deg - k)).scale(c)
-        return out
-
-    r = RatMap1(homogenize(den), homogenize(num))
-    assert r.degree == deg
+    r = RatMap1(homogenise(den, deg), homogenise(num, deg))
+    if r.degree != deg:
+        raise AssertionError(f"multiplication by {n} has degree {r.degree}, not {deg}")
     return r
 
 

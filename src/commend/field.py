@@ -50,11 +50,13 @@ def _int_poly_divide(num: list[int], den: list[int]) -> list[int]:
     q = [0] * (len(num) - len(den) + 1)
     for i in range(len(q) - 1, -1, -1):
         c = num[i + len(den) - 1]
-        assert c % den[-1] == 0
+        if c % den[-1]:
+            raise AssertionError("integer polynomial division is not exact")
         q[i] = c // den[-1]
         for j, dj in enumerate(den):
             num[i + j] -= q[i] * dj
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise AssertionError("integer polynomial division left a remainder")
     return q
 
 
@@ -142,7 +144,8 @@ class Coefficient:
     def __init__(self, order: int, res):
         res = [Fraction(x) for x in res]
         phi = euler_phi(order)
-        assert len(res) == phi
+        if len(res) != phi:
+            raise ValueError(f"Q(zeta_{order}) needs {phi} residues, got {len(res)}")
         order, res = self._contract(order, res)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "res", tuple(res))
@@ -224,7 +227,8 @@ class Coefficient:
     # -- lifting ------------------------------------------------------
     def lift(self, order: int) -> "tuple[int, tuple[Fraction, ...]]":
         """Residue vector of this element inside Q(zeta_order)."""
-        assert order % self.order == 0
+        if order % self.order:
+            raise ValueError(f"Q(zeta_{self.order}) does not embed in Q(zeta_{order})")
         if order == self.order:
             return order, self.res
         step = order // self.order
@@ -308,7 +312,8 @@ class Coefficient:
                 s0 = _sub_scaled(s0, s1, c, d)
             r0, r1 = r1, r0
             s0, s1 = s1, s0
-        assert _deg(r1) == 0
+        if _deg(r1):
+            raise AssertionError("a nonzero element shares a factor with the modulus")
         inv_c = 1 / r1[0]
         coeffs = [c * inv_c for c in s1]
         return Coefficient(self.order, _reduce_mod_cyclotomic(coeffs, self.order))

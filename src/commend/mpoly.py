@@ -194,7 +194,8 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exp: int):
-        assert exp >= 0
+        if exp < 0:
+            raise ValueError("negative exponent")
         result = MPoly.one()
         base = self
         while exp:
@@ -486,7 +487,8 @@ def squarefree_decompose(p: MPoly):
     for f, m in merged:
         rebuilt = rebuilt * f**m
     unit = p.exact_divide(rebuilt)
-    assert unit.is_constant()
+    if not unit.is_constant():
+        raise AssertionError("squarefree factors do not rebuild p")
     return unit.constant_value(), merged
 
 
@@ -604,7 +606,8 @@ def rational_roots(p: MPoly) -> list[Fraction]:
     """
     if p.is_zero() or p.is_constant():
         return []
-    assert len(p.vars) == 1
+    if len(p.vars) != 1:
+        raise ValueError("rational_roots needs a univariate polynomial")
     coeffs = p.univariate_in(p.vars[0])
     vals = []
     for c in coeffs:

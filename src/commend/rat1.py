@@ -43,10 +43,18 @@ def points_equal(p, q) -> bool:
     return (p[0] * q[1] - p[1] * q[0]).is_zero()
 
 
-def linear_form_of_point(p) -> MPoly:
-    """The linear binary form vanishing exactly at the point [a:b]."""
-    a, b = p
-    return MPoly.var("s").scale(b) - MPoly.var("t").scale(a)
+def homogenise(p: MPoly, d: int) -> MPoly:
+    """The degree-d binary form s^d p(t/s) of a polynomial p in x alone."""
+    if set(p.vars) - {"x"} or not 0 <= p.total_degree() <= d:
+        raise ValueError(f"need a nonzero polynomial in x of degree at most {d}")
+    return MPoly.make(("s", "t"), {(d - sum(e), sum(e)): c
+                                   for e, c in p.terms.items()})
+
+
+def dehomogenise(form: MPoly) -> MPoly:
+    """form(1, x) as a polynomial in x, for a binary form in s, t."""
+    # homogeneous, so each power of t carries exactly one term
+    return MPoly.make(("x",), {(k,): c for k, c in enumerate(form.dense_in("t"))})
 
 
 # ---------------------------------------------------------------------------
@@ -87,23 +95,10 @@ class RatMap1:
         return RatMap1(MPoly.var("s"), MPoly.var("t"))
 
     @staticmethod
-    def from_polynomial(p: MPoly, degree: int | None = None) -> "RatMap1":
-        """The self-map [s^d : homogenization of p] of a one-variable polynomial."""
-        assert set(p.vars) <= {"x"}
-        d = p.total_degree() if degree is None else degree
-        s, t = MPoly.var("s"), MPoly.var("t")
-        top = MPoly.zero()
-        for e, c in p.terms.items():
-            k = e[0] if p.vars else 0
-            top = top + (t**k * s**(d - k)).scale(c)
-        return RatMap1(s**d, top)
-
-    def affine_numerator(self) -> MPoly:
-        """formT(1, x) as a polynomial in x."""
-        return self.formT.substitute({"s": MPoly.one(), "t": MPoly.var("x")})
-
-    def affine_denominator(self) -> MPoly:
-        return self.formS.substitute({"s": MPoly.one(), "t": MPoly.var("x")})
+    def from_polynomial(p: MPoly) -> "RatMap1":
+        """The self-map [s^d : homogenization of p] of a polynomial in x."""
+        d = p.total_degree()
+        return RatMap1(MPoly.var("s", d), homogenise(p, d))
 
     def apply(self, point):
         vals = {"s": point[0], "t": point[1]}
@@ -138,18 +133,14 @@ def commutes1(r1: RatMap1, r2: RatMap1) -> bool:
     return compose1(r1, r2) == compose1(r2, r1)
 
 
-def critical_form(r: RatMap1):
-    """(unit, squarefree factors with multiplicity) of the Wronskian; degree 2d-2."""
-    if r.degree < 2:
-        raise PreconditionViolated("degree must be at least 2")
-    w = (r.formS.derivative("s") * r.formT.derivative("t")
-         - r.formS.derivative("t") * r.formT.derivative("s"))
-    return squarefree_decompose(w)
-
-
 @dataclass(frozen=True)
 class PullbackDivisor:
-    """Fiber of a point: split rational points plus unsplit residual factors."""
+    """Fiber of a point: split rational points plus unsplit residual factors.
+
+    The rational points are the zeros found per squarefree factor of the
+    dehomogenised fiber form, with infinity from the power of s; see
+    `_form_split`.
+    """
 
     marked_points: tuple  # of ((a, b), multiplicity)
     residual: tuple       # of (squarefree form, multiplicity)
@@ -163,45 +154,35 @@ class PullbackDivisor:
                 + sum(f.total_degree() for f, _m in self.residual))
 
 
-def _point_multiplicity(form: MPoly, point) -> tuple[int, MPoly]:
-    """Largest k with L_point^k | form, and the quotient."""
-    line = linear_form_of_point(point)
-    k = 0
-    while not form.is_constant():
-        vals = {"s": point[0], "t": point[1]}
-        if not form.evaluate(vals).is_zero():
-            break
-        form = form.exact_divide(line)
-        k += 1
-    return k, form
+def _form_split(form: MPoly):
+    """The zeros of a nonzero binary form, split by multiplicity.
 
-
-def _split_rational_points(form: MPoly):
-    """All field-rational projective zeros of a binary form, with multiplicities.
-
-    Returns (list of (point, mult), residual form with no rational zeros).
+    Returns ([(point, mult)], [(residual form, mult)]): infinity first, then
+    the rational points in ascending order, and per multiplicity one
+    squarefree form carrying the zeros left unsplit.  Infinity's multiplicity
+    is the power of s, the drop in degree of form(1, x).  The rational zeros
+    are those `rational_roots` finds on each factor of Yun's squarefree
+    decomposition of form(1, x).
     """
-    points = []
-    k, form = _point_multiplicity(form, POINT_INF)
-    if k:
-        points.append((POINT_INF, k))
-    aff = form.substitute({"s": MPoly.one(), "t": MPoly.var("x")})
-    for x0 in rational_roots(aff):
-        p = affine_point(x0)
-        k, form = _point_multiplicity(form, p)
-        assert k > 0
-        points.append((p, k))
-    return points, form
+    aff = dehomogenise(form)
+    k = form.total_degree() - aff.total_degree()
+    points = [(POINT_INF, k)] if k else []
+    affine, residual = [], []
+    for f, m in squarefree_decompose(aff)[1]:
+        roots = rational_roots(f)
+        for x0 in roots:
+            f = f.exact_divide(MPoly.var("x") - x0)
+        affine += [(x0, m) for x0 in roots]
+        if not f.is_constant():
+            residual.append((homogenise(f, f.total_degree()), m))
+    return points + [(affine_point(x0), m) for x0, m in sorted(affine)], residual
 
 
 def pullback_divisor(r: RatMap1, point) -> PullbackDivisor:
+    """The fiber of `point`: the zeros of b*formS - a*formT, by `_form_split`."""
     a, b = normalize_point(*point)
-    fiber_form = r.formS.scale(b) - r.formT.scale(a)
-    unit_points, residual_form = _split_rational_points(fiber_form)
-    _u, factors = (Coefficient.one(), []) if residual_form.is_constant() \
-        else squarefree_decompose(residual_form)
-    return PullbackDivisor(tuple(unit_points),
-                           tuple((f, m) for f, m in factors))
+    points, residual = _form_split(r.formS.scale(b) - r.formT.scale(a))
+    return PullbackDivisor(tuple(points), tuple(residual))
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +244,12 @@ def standard_orbifolds(signature: str, points) -> Orbifold1:
 
 def is_orbifold_selfcover(r: RatMap1, o: Orbifold1) -> bool:
     """Covering condition: n(f(x)) = mult(f, x) * n(x) at every point."""
+    return _covers(r, o, (pullback_divisor(r, alpha) for alpha, _w in o.marked))
+
+
+def _covers(r: RatMap1, o: Orbifold1, fibers) -> bool:
+    """is_orbifold_selfcover given the marked points' fibers in order; an
+    iterator of them is only advanced once the marked points' images pass."""
     d = r.degree
     inf_points = [p for p, w in o.marked if w == inf]
     # every marked point must land on a marked point of the forced weight
@@ -275,8 +262,7 @@ def is_orbifold_selfcover(r: RatMap1, o: Orbifold1) -> bool:
         elif iw == 1:
             return False
     ramification = 0
-    for alpha, w in o.marked:
-        fiber = pullback_divisor(r, alpha)
+    for (_alpha, w), fiber in zip(o.marked, fibers):
         if w == inf:
             # all preimages must be inside the weight-infinity set
             for p, _m in fiber.marked_points:
@@ -317,10 +303,9 @@ class Portrait:
     images: tuple  # image marked index per marked point
 
 
-def _fiber_data(r: RatMap1, o: Orbifold1):
+def _fiber_data(r: RatMap1, o: Orbifold1, divisors):
     fibers = []
-    for alpha, _w in o.marked:
-        fiber = pullback_divisor(r, alpha)
+    for fiber in divisors:
         marked_part = []
         unmarked_pts = []
         for p, m in fiber.marked_points:
@@ -345,10 +330,11 @@ def _unmarked_is(unmarked, mult, count):
 
 
 def portrait(r: RatMap1, o: Orbifold1) -> Portrait:
-    if not is_orbifold_selfcover(r, o):
+    divisors = [pullback_divisor(r, alpha) for alpha, _w in o.marked]
+    if not _covers(r, o, divisors):
         raise PreconditionViolated("map is not a self-cover of the orbifold")
     d = r.degree
-    fibers, images = _fiber_data(r, o)
+    fibers, images = _fiber_data(r, o, divisors)
     weights = tuple(w for _p, w in o.marked)
     s = len(weights)
 
@@ -493,18 +479,12 @@ class InfinityClass:
 
 def _critical_points_rational(r: RatMap1):
     """[(point, multiplicity in the Wronskian)] for rational critical points,
-    plus the residual (non-rational) critical factors [(form, mult)]."""
-    _u, factors = critical_form(r)
-    rational = []
-    residual = []
-    for f, m in factors:
-        pts, rem = _split_rational_points(f)
-        for p, k in pts:
-            assert k == 1  # factors are squarefree
-            rational.append((p, m))
-        if not rem.is_constant():
-            residual.append((rem, m))
-    return rational, residual
+    plus the residual (non-rational) critical factors [(form, mult)].
+
+    The rational points are found per squarefree factor of the dehomogenised
+    Wronskian, with infinity from the power of s; see `_form_split`."""
+    return _form_split(r.formS.derivative("s") * r.formT.derivative("t")
+                       - r.formS.derivative("t") * r.formT.derivative("s"))
 
 
 def _critical_values(r: RatMap1, rational, residual):
@@ -520,9 +500,8 @@ def _critical_values(r: RatMap1, rational, residual):
         add(r.apply(p))
     for f, _m in residual:
         # images of the roots of f: eliminate x from {f(1,x)=0, r(x)=y}
-        aff = f.substitute({"s": MPoly.one(), "t": MPoly.var("x")})
-        num = r.affine_numerator()
-        den = r.affine_denominator()
+        aff = dehomogenise(f)
+        num, den = dehomogenise(r.formT), dehomogenise(r.formS)
         elim = resultant(aff, num - MPoly.var("y") * den, "x")
         if elim.is_zero():
             return None

@@ -1,6 +1,10 @@
 """Field elements, sparse polynomials, parsing and rendering."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +180,19 @@ class TestMPoly:
         p = (X.scale(2) - MPoly.one()) * (X + MPoly.constant(3))
         assert sorted(rational_roots(p)) == [-3, Fraction(1, 2)]
         assert rational_roots(X**2 + MPoly.one()) == []
+        with pytest.raises(ValueError):
+            rational_roots(X * Y - MPoly.one())
+
+    def test_negative_power_raises_under_optimisation(self):
+        # argument checks must not be asserts, which python -O strips
+        code = ("from commend.mpoly import MPoly\n"
+                "try:\n    MPoly.var('x') ** -1\n"
+                "except ValueError:\n    print('raised')\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, timeout=30,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout == "raised\n"
 
     def test_poly_sqrt(self):
         p = (X + Y.scale(2)) ** 2

@@ -83,6 +83,8 @@ class TestDisjointIterates:
     def test_power_collision_detected(self):
         # g = descent of x^4 satisfies g^1 = f^2 for f the x^2 descent
         assert not disjoint_iterates(ex4_descend(X**4), DESC2, 64)
+        # least pair (3, 2): f^3 == g^2 at degree 64
+        assert not disjoint_iterates(ex4_descend(X**4), ex4_descend(X**8), 64)
 
 
 class TestRecognize:

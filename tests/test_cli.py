@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, JSON reports, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -45,6 +46,20 @@ class TestExitCodes:
         code, rep = run(capsys, "iterate", "--f", "(z1^2, z2^2)", "--n", "-1")
         assert code == 2
         assert rep["kind"] == "PreconditionViolated"
+
+    def test_disjoint_rejects_two_degree_one_maps(self, capsys):
+        # degree 1 never reaches the degree cap: an input error, at once
+        start = time.perf_counter()
+        code, rep = run(capsys, "disjoint", "--f", "(2*z1, z2)",
+                        "--g", "(3*z1, z2)")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert rep["kind"] == "PreconditionViolated"
+
+    def test_zero_line_map_is_an_input_error(self, capsys):
+        code, rep = run(capsys, "classify-p1", "--map", "0")
+        assert code == 2
+        assert rep["kind"] == "ValueError"
 
 
 class TestCommands:

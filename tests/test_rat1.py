@@ -3,12 +3,15 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from commend import rat1
 from commend.errors import NoCaseMatch, PreconditionViolated
 from commend.families import chebyshev, elliptic_lattes, EllipticCurveData
-from commend.mpoly import MPoly, gcd_poly
+from commend.field import Coefficient
+from commend.mpoly import (MPoly, gcd_poly, rational_roots,
+                           squarefree_decompose)
 from commend.parse import parse_poly
 from commend.rat1 import (POINT_INF, Orbifold1, RatMap1, affine_point,
                           classify_infinity, commutes1, compose1,
@@ -67,6 +70,70 @@ class TestRatMap1:
         fiber0 = pullback_divisor(SQUARE, affine_point(0))
         assert fiber0.total_multiplicity() == 2
         assert fiber0.distinct_count() == 1
+
+
+S, T = MPoly.var("s"), MPoly.var("t")
+# homogenised irreducible quadratics and cubics over Q
+IRREDUCIBLE = (T**2 + S**2, T**2 - S**2 * 2, T**2 + S * T + S**2 * 3,
+               T**3 - S**3 * 2, T**3 + S**2 * T + S**3)
+
+
+def expected_fiber(form):
+    """(points, [(residual degree, mult)]) from the bivariate squarefree
+    decomposition of the whole form and the rational roots of form(1, x)."""
+    aff = form.substitute({"s": MPoly.one(), "t": MPoly.var("x")})
+    zeros = [POINT_INF] if aff.total_degree() < form.total_degree() else []
+    zeros += [affine_point(x0) for x0 in rational_roots(aff)]
+    factors = squarefree_decompose(form)[1]
+
+    def on(f, p):
+        return f.evaluate({"s": p[0], "t": p[1]}).is_zero()
+
+    points = [(p, m) for p in zeros for f, m in factors if on(f, p)]
+    residual = [(f.total_degree() - sum(on(f, p) for p in zeros), m)
+                for f, m in factors]
+    return points, sorted((deg, m) for deg, m in residual if deg)
+
+
+class TestFormSplit:
+    @given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=3),
+                    max_size=3, unique=True),
+           st.lists(st.integers(1, 4), min_size=4, max_size=4),
+           st.integers(0, 4), st.sampled_from(IRREDUCIBLE), st.integers(0, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_pullback_matches_whole_form_split(self, roots, mults, at_inf,
+                                               irreducible, power):
+        form = S**at_inf * irreducible**power
+        for x0, m in zip(roots, mults):
+            form = form * (T - S.scale(x0))**m
+        assume(form.total_degree() >= 1)
+        # x = c is no zero of the form, so t - c*s shares none with it
+        c = 1 + math.ceil(max((abs(x0) for x0 in roots), default=0))
+        other = (T - S.scale(c))**form.total_degree()
+        fiber = pullback_divisor(RatMap1(form, other), POINT_INF)
+        points, residual = expected_fiber(form)
+        assert list(fiber.marked_points) == points
+        assert sorted((f.total_degree(), m) for f, m in fiber.residual) == residual
+
+    def test_rational_zero_beside_a_cyclotomic_factor(self):
+        # (x - 1)^2 (x - w) over Q(zeta_3): form(1, x) has a coefficient
+        # outside Q, but its squarefree factor x - 1 does not
+        w = Coefficient(3, [0, 1])
+        form = (T - S)**2 * (T - S.scale(w))
+        fiber = pullback_divisor(RatMap1(form, S**3), POINT_INF)
+        assert fiber.marked_points == ((affine_point(1), 2),)
+        assert [(f.total_degree(), m) for f, m in fiber.residual] == [(1, 1)]
+
+    def test_portrait_splits_each_fiber_once(self, monkeypatch):
+        calls = []
+
+        def counting(r, point):
+            calls.append(point)
+            return pullback_divisor(r, point)
+
+        monkeypatch.setattr(rat1, "pullback_divisor", counting)
+        assert portrait(LATTES2, TORSION_ORB).case == "O4-even-all-to-one"
+        assert len(calls) == len(TORSION_ORB.marked)
 
 
 class TestOrbifolds:
