@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .errors import (DegreeLimitExceeded, EliminationDegenerate, NotDivisible,
                      NotExtendable, PreconditionViolated, ZeroJacobian)
 from .field import Coefficient
-from .mpoly import (MPoly, binary_form_resultant, gcd_poly, rational_roots,
+from .mpoly import (MPoly, forms_share_zero, gcd_poly, rational_roots,
                     resultant, squarefree_decompose, squarefree_part)
 
 DEFAULT_DEGREE_CAP = 512
@@ -122,7 +122,7 @@ def extends_to_p2(f: PlaneEndo) -> bool:
     if t1.is_zero() or t2.is_zero():
         return False
     d = f.degree
-    return not binary_form_resultant(t1, t2, "z1", "z2", d, d).is_zero()
+    return not forms_share_zero(t1, t2, "z1", "z2", d, d)
 
 
 def restrict_infinity(f: PlaneEndo):

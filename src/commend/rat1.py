@@ -14,9 +14,10 @@ from math import inf
 
 from .errors import (BadPointCount, InfinityWeightViolation, NoCaseMatch,
                      PreconditionViolated)
-from .field import Coefficient
-from .mpoly import (MPoly, binary_form_resultant, gcd_poly, rational_roots,
-                    resultant, squarefree_decompose, squarefree_part)
+from .field import Coefficient, _solve_linear
+from .mpoly import (MPoly, dense_divmod, dense_gcd, dense_inverse_mod,
+                    dense_mul, forms_share_zero, from_dense, rational_roots,
+                    squarefree_decompose)
 
 # ---------------------------------------------------------------------------
 # Projective points
@@ -54,7 +55,7 @@ def homogenise(p: MPoly, d: int) -> MPoly:
 def dehomogenise(form: MPoly) -> MPoly:
     """form(1, x) as a polynomial in x, for a binary form in s, t."""
     # homogeneous, so each power of t carries exactly one term
-    return MPoly.make(("x",), {(k,): c for k, c in enumerate(form.dense_in("t"))})
+    return from_dense(form.dense_in("t"), "x")
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +64,12 @@ def dehomogenise(form: MPoly) -> MPoly:
 
 
 class RatMap1:
+    """The self-map [s:t] -> [formS : formT] of P^1.
+
+    The forms are homogeneous of one degree d and share no zero in P^1
+    (`forms_share_zero`), so d is the degree of the map.
+    """
+
     __slots__ = ("formS", "formT")
 
     def __init__(self, formS, formT):
@@ -78,7 +85,7 @@ class RatMap1:
         if formS.is_zero() or formT.is_zero():
             if formS.is_zero() and formT.is_zero():
                 raise ValueError("zero map")
-        if binary_form_resultant(formS, formT, "s", "t", d, d).is_zero():
+        if forms_share_zero(formS, formT, "s", "t", d, d):
             raise ValueError("degenerate map: forms share a projective zero")
         object.__setattr__(self, "formS", formS)
         object.__setattr__(self, "formT", formT)
@@ -489,7 +496,14 @@ def _critical_points_rational(r: RatMap1):
 
 def _critical_values(r: RatMap1, rational, residual):
     """The set of critical values, or None when any leaves the session field,
-    from the output of _critical_points_rational(r)."""
+    from the output of _critical_points_rational(r).
+
+    The roots of a residual factor f shared with den are poles and map to
+    infinity.  The other roots, those of f' = f / gcd(f, den), map to the
+    roots of the minimal polynomial of v = num/den in K[x]/(f'), K the
+    session field, each value once; they all lie in K iff `rational_roots`
+    finds as many roots as its degree.
+    """
     values = []
 
     def add(p):
@@ -498,24 +512,43 @@ def _critical_values(r: RatMap1, rational, residual):
 
     for p, _m in rational:
         add(r.apply(p))
+    num, den = r.formT.dense_in("t"), r.formS.dense_in("t")
     for f, _m in residual:
-        # images of the roots of f: eliminate x from {f(1,x)=0, r(x)=y}
-        aff = dehomogenise(f)
-        num, den = dehomogenise(r.formT), dehomogenise(r.formS)
-        elim = resultant(aff, num - MPoly.var("y") * den, "x")
-        if elim.is_zero():
-            return None
-        # roots of f that are poles of r map to infinity
-        if not gcd_poly(aff, den).is_constant():
+        aff = f.dense_in("t")
+        poles = dense_gcd(aff, den)
+        if len(poles) > 1:
             add(POINT_INF)
-        if elim.depends_on("y"):
-            sq = squarefree_part(elim)
-            roots = rational_roots(sq)
-            if len(roots) != sq.total_degree():
+            aff = dense_divmod(aff, poles)[0]
+        if len(aff) > 1:
+            v = dense_divmod(dense_mul(num, dense_inverse_mod(den, aff)),
+                             aff)[1]
+            mu = _minimal_polynomial(v, aff)
+            roots = rational_roots(from_dense(mu, "x"))
+            if len(roots) != len(mu) - 1:
                 return None  # some critical value leaves the session field
             for y0 in roots:
                 add(affine_point(y0))
     return values
+
+
+def _minimal_polynomial(v, f):
+    """The monic minimal polynomial of v in K[x]/(f), dense lists: the first
+    linear dependency among the reductions of 1, v, v^2, ... mod f."""
+    k = len(f) - 1
+
+    def vector(a):
+        return a + [Coefficient.zero()] * (k - len(a))
+
+    powers = [vector([Coefficient.one()])]
+    power = [Coefficient.one()]
+    while True:
+        power = dense_divmod(dense_mul(power, v), f)[1]
+        target = vector(power)
+        matrix = [tuple(col[i] for col in powers) for i in range(k)]
+        sol = _solve_linear(matrix, target)
+        if sol is not None:
+            return [-c for c in sol] + [Coefficient.one()]
+        powers.append(target)
 
 
 def _closure_under(r: RatMap1, points, cap: int = 16):

@@ -7,16 +7,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from commend.errors import (NotASquare, NotDivisible, ParseError,
                             UnknownVariable)
 from commend.field import (Coefficient, _solve_linear, euler_phi, kth_roots,
                            roots_of_unity)
-from commend.mpoly import (MPoly, binary_form_resultant, gcd_poly, poly_sqrt,
-                           rational_roots, resultant, squarefree_decompose,
-                           squarefree_part)
+from commend.mpoly import (MPoly, binary_form_resultant, dense_divmod,
+                           dense_inverse_mod, dense_mul, forms_share_zero,
+                           gcd_poly, poly_sqrt, rational_roots, resultant,
+                           squarefree_decompose, squarefree_part)
 from commend.parse import parse_map_pair, parse_poly
 from commend.render import render_poly
 
@@ -24,6 +25,32 @@ X = MPoly.var("x")
 Y = MPoly.var("y")
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
+small = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+W = Coefficient.root_of_unity(3)
+
+
+@st.composite
+def field_elements(draw, order):
+    """An element of Q (order 1) or Q(zeta_3) (order 3)."""
+    c = Coefficient.rational(draw(small))
+    return c + W * draw(small) if order == 3 else c
+
+
+@st.composite
+def univariate(draw, order, name="x", min_degree=0, max_degree=3):
+    """A polynomial in `name` of exact degree in the given range."""
+    d = draw(st.integers(min_degree, max_degree))
+    lead = draw(field_elements(order).filter(lambda c: not c.is_zero()))
+    coeffs = [draw(field_elements(order)) for _ in range(d)] + [lead]
+    return MPoly._sum(MPoly.var(name, k).scale(c) for k, c in enumerate(coeffs))
+
+
+@st.composite
+def binary_form(draw, order, degree):
+    """A binary form in s, t of the given degree (possibly the zero form)."""
+    return MPoly._sum(
+        (MPoly.var("s", degree - k) * MPoly.var("t", k)).scale(
+            draw(field_elements(order))) for k in range(degree + 1))
 
 
 class TestCoefficient:
@@ -175,6 +202,63 @@ class TestMPoly:
         g = s**2 - t**2
         r = binary_form_resultant(f, g, "s", "t", 2, 2)
         assert not r.is_zero()
+
+    @given(st.sampled_from([1, 3]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_univariate_gcd_recovers_common_factor(self, order, data):
+        g = data.draw(univariate(order, min_degree=1))
+        a = data.draw(univariate(order))
+        b = data.draw(univariate(order))
+        assume(not resultant(a, b, "x").is_zero())  # a, b coprime
+        assert gcd_poly(a * g, b * g) == g.monic()
+
+    @given(st.sampled_from([1, 3]), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_bivariate_gcd_through_univariate_contents(self, order, data):
+        # the contents in x are polynomials in y alone: the dense base case
+        g = data.draw(univariate(order, "y", min_degree=1, max_degree=2))
+        a = data.draw(univariate(order, "y", max_degree=2))
+        b = data.draw(univariate(order, "y", max_degree=2))
+        assume(not resultant(a, b, "y").is_zero())
+        h = X * Y + MPoly.one()
+        got = gcd_poly((X + Y) * a * g * h, (X - Y) * b * g * h)
+        assert got == (g * h).monic()
+
+    @given(st.sampled_from([1, 3]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_dense_inverse_mod(self, order, data):
+        f = data.draw(univariate(order, min_degree=1, max_degree=4))
+        a = data.draw(univariate(order, max_degree=4))
+        fd, ad = f.dense_in("x"), a.dense_in("x")
+        if resultant(a, f, "x").is_zero():
+            with pytest.raises(NotDivisible):
+                dense_inverse_mod(ad, fd)
+        else:
+            inv = dense_inverse_mod(ad, fd)
+            assert len(inv) < len(fd)
+            assert dense_divmod(dense_mul(inv, ad), fd)[1] == [Coefficient.one()]
+
+    @given(st.sampled_from([1, 3]),
+           st.sampled_from(["random", "infinity", "rational", "quadratic",
+                            "zero"]),
+           st.integers(1, 5), st.integers(1, 5), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_forms_share_zero_matches_resultant(self, order, case, m, n, data):
+        s, t = MPoly.var("s"), MPoly.var("t")
+        common = {"random": MPoly.one(), "zero": MPoly.one(), "infinity": s,
+                  "rational": t - s.scale(data.draw(small)),
+                  "quadratic": t**2 + s * t + s**2}[case]
+        k = common.total_degree()
+        m, n = max(m, k), max(n, k)
+        f = common * data.draw(binary_form(order, m - k))
+        g = common * data.draw(binary_form(order, n - k))
+        if case == "zero":
+            f = MPoly.zero()
+        assume(not (f.is_zero() and g.is_zero()))
+        want = binary_form_resultant(f, g, "s", "t", m, n).is_zero()
+        assert forms_share_zero(f, g, "s", "t", m, n) == want
+        if case != "random" and not f.is_zero() and not g.is_zero():
+            assert want
 
     def test_rational_roots(self):
         p = (X.scale(2) - MPoly.one()) * (X + MPoly.constant(3))

@@ -10,11 +10,11 @@ from commend import rat1
 from commend.errors import NoCaseMatch, PreconditionViolated
 from commend.families import chebyshev, elliptic_lattes, EllipticCurveData
 from commend.field import Coefficient
-from commend.mpoly import (MPoly, gcd_poly, rational_roots,
-                           squarefree_decompose)
+from commend.mpoly import (MPoly, gcd_poly, rational_roots, resultant,
+                           squarefree_decompose, squarefree_part)
 from commend.parse import parse_poly
 from commend.rat1 import (POINT_INF, Orbifold1, RatMap1, affine_point,
-                          classify_infinity, commutes1, compose1,
+                          classify_infinity, commutes1, compose1, dehomogenise,
                           is_orbifold_selfcover, parabolic_check,
                           points_equal, portrait, pullback_divisor,
                           standard_orbifolds)
@@ -171,6 +171,103 @@ class TestOrbifolds:
     def test_portrait_unlisted_signature(self):
         with pytest.raises(NoCaseMatch):
             portrait(TCHEB2, CHEB_ORB)
+
+
+def _critical_values_by_elimination(r, rational, residual):
+    """The critical values as `_critical_values` defines them, from the
+    resultant res_x(f(1, x), num - y * den) of each residual factor f."""
+    values = []
+
+    def add(p):
+        if all(not points_equal(p, q) for q in values):
+            values.append(p)
+
+    for p, _m in rational:
+        add(r.apply(p))
+    num, den = dehomogenise(r.formT), dehomogenise(r.formS)
+    for f, _m in residual:
+        aff = dehomogenise(f)
+        if resultant(aff, den, "x").is_zero():
+            add(POINT_INF)  # a root of f is a pole
+        elim = resultant(aff, num - MPoly.var("y") * den, "x")
+        if elim.depends_on("y"):
+            sq = squarefree_part(elim)
+            roots = rational_roots(sq)
+            if len(roots) != sq.total_degree():
+                return None
+            for y0 in roots:
+                add(affine_point(y0))
+    return values
+
+
+def _random_form(data, d):
+    ints = st.integers(-2, 2)
+    s, t = MPoly.var("s"), MPoly.var("t")
+    return MPoly._sum((s**(d - k) * t**k).scale(data.draw(ints))
+                      for k in range(d + 1))
+
+
+def _mobius(data, affine=False):
+    a, b, c, d = (data.draw(st.integers(-2, 2)) for _ in range(4))
+    c = 0 if affine else c
+    assume(a * d - b * c != 0)
+    s, t = MPoly.var("s"), MPoly.var("t")
+    return RatMap1(t.scale(c) + s.scale(d), t.scale(a) + s.scale(b))
+
+
+class TestCriticalValues:
+    @given(st.sampled_from(["random", "pole", "chebyshev"]), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_elimination(self, case, data):
+        s, t = MPoly.var("s"), MPoly.var("t")
+        if case == "random":
+            d = data.draw(st.integers(2, 5))
+            try:
+                r = RatMap1(_random_form(data, d), _random_form(data, d))
+            except ValueError:
+                assume(False)
+        elif case == "chebyshev":
+            # N o T_d o M: critical values N(2), N(-2) and N(inf), all in Q
+            cheb = RatMap1.from_polynomial(
+                chebyshev(data.draw(st.integers(2, 5)), "monic"))
+            r = compose1(_mobius(data), compose1(cheb, _mobius(data)))
+        else:
+            # A o P o M for P(x) = 1/(x^2 - k)^2 and A affine: the double
+            # poles of P, outside Q, are critical points mapping to infinity
+            k = data.draw(st.sampled_from([2, 3, -1]))
+            bump = RatMap1((t**2 - (s**2).scale(k))**2, s**4)
+            r = compose1(_mobius(data, affine=True),
+                         compose1(bump, _mobius(data)))
+        rational, residual = rat1._critical_points_rational(r)
+        got = rat1._critical_values(r, rational, residual)
+        assert got == _critical_values_by_elimination(r, rational, residual)
+        if case != "random":
+            assert got is not None
+        if case == "pole":
+            assert any(points_equal(p, POINT_INF) for p in got)
+
+    def test_values_outside_q(self):
+        # the critical points of x^3 - 2x are irrational and so are their
+        # values; over Q(zeta_3) the shifted Chebyshev map has values -2 - w
+        # and 2 - w, which rational_roots cannot split
+        for text, order in (("x^3 - 2*x", 1),
+                            ("x^3 + 3*w*x^2 + 3*w^2*x - 3*x - 4*w + 1", 3)):
+            r = RatMap1.from_polynomial(parse_poly(text, order))
+            rational, residual = rat1._critical_points_rational(r)
+            assert residual
+            assert rat1._critical_values(r, rational, residual) is None
+            assert _critical_values_by_elimination(r, rational,
+                                                   residual) is None
+
+    def test_lattes_values_are_the_two_torsion(self):
+        # multiplication by 3 on y^2 = x^3 - x: critical values are the
+        # 2-torsion abscissas 0, 1, -1 and infinity
+        r = elliptic_lattes(EllipticCurveData(-1, 0), 3)
+        rational, residual = rat1._critical_points_rational(r)
+        got = rat1._critical_values(r, rational, residual)
+        assert sorted(got, key=lambda p: (p[0].sort_key(), p[1].sort_key())) \
+            == sorted([POINT_INF] + [affine_point(v) for v in (0, 1, -1)],
+                      key=lambda p: (p[0].sort_key(), p[1].sort_key()))
 
 
 class TestClassifyInfinity:

@@ -1,5 +1,6 @@
-"""Golden stdout reports: the README commands and `classify` on the forty
-criterion-10 pairs, run in-process through `cli.main`.
+"""Golden stdout reports: the README commands, `classify` on the forty
+criterion-10 pairs and the P^1 commands below, run in-process through
+`cli.main`.
 
 `tests/data/reports.txt` holds, for each command, a `$ commend ...` line and
 the exact stdout bytes of the report.  Regenerate it (only when a report is
@@ -29,6 +30,49 @@ README_COMMANDS = [
     ["orbifold-cover", "--map", "cheb:2", "--orbifold", "inf:inf,2:2,-2:2"],
     ["portrait", "--map", "lattes:-1,0,2", "--orbifold", "inf:2,0:2,1:2,-1:2"],
     ["search", "--degrees", "2,3", "--coeffs=-4..4"],
+]
+
+
+# classify-p1, portrait and orbifold-cover: Lattes maps of degree 4 and 9 on
+# y^2 = x^3 - x, (x + 3)(x - 1)(x - 2) and (x + 4)(x - 1)(x - 3), Chebyshev
+# and power maps conjugated by Moebius maps, maps whose critical values
+# leave the field (one has poles among its critical points), and maps over
+# Q(zeta_3)
+P1_COMMANDS = [
+    ["classify-p1", "--map=lattes:-1,0,2"],
+    ["classify-p1", "--map=lattes:-1,0,3"],
+    ["classify-p1", "--map=lattes:-7,6,2"],
+    ["classify-p1", "--map=lattes:-7,6,3"],
+    ["classify-p1", "--map=lattes:-13,12,2"],
+    ["portrait", "--map=lattes:-1,0,3", "--orbifold=inf:2,0:2,1:2,-1:2"],
+    ["portrait", "--map=lattes:-7,6,2", "--orbifold=inf:2,-3:2,1:2,2:2"],
+    ["portrait", "--map=lattes:-7,6,3", "--orbifold=inf:2,-3:2,1:2,2:2"],
+    ["portrait", "--map=lattes:-13,12,2", "--orbifold=inf:2,-4:2,1:2,3:2"],
+    ["orbifold-cover", "--map=lattes:-13,12,3",
+     "--orbifold=inf:2,-4:2,1:2,3:2"],
+    ["orbifold-cover", "--map=lattes:-7,6,2", "--orbifold=inf:2,-3:2,1:2"],
+    ["classify-p1", "--map=(19*s^3 + 33*s^2*t + 18*s*t^2 + 3*t^3, "
+     "-30*s^3 - 54*s^2*t - 30*s*t^2 - 5*t^3)"],
+    ["classify-p1", "--map=(3*s^4 + 16*s^3*t + 28*s^2*t^2 + 16*s*t^3, "
+     "-2*s^4 - 12*s^3*t - 22*s^2*t^2 - 12*s*t^3 + t^4)"],
+    ["classify-p1", "--map=(s^3, 3*s^2*t + 3*s*t^2 + t^3)"],
+    ["classify-p1", "--map=(15*s^4 + 28*s^3*t + 18*s^2*t^2 + 4*s*t^3, "
+     "-14*s^4 - 24*s^3*t - 12*s^2*t^2 + t^4)"],
+    ["orbifold-cover", "--map=(19*s^3 + 33*s^2*t + 18*s*t^2 + 3*t^3, "
+     "-30*s^3 - 54*s^2*t - 30*s*t^2 - 5*t^3)",
+     "--orbifold=-2:inf,-3:2,-5/3:2"],
+    ["orbifold-cover", "--map=(s^4 - 12*s^2*t^2 - 24*s*t^3 - 14*t^4, "
+     "4*s^3*t + 18*s^2*t^2 + 28*s*t^3 + 15*t^4)",
+     "--orbifold=-1:inf,-1/2:inf"],
+    ["classify-p1", "--map=tcheb:5"],
+    ["classify-p1", "--map=x^3 - 2*x"],
+    ["classify-p1", "--map=(t^2 + s^2, t^2 - 2*s*t)"],
+    ["classify-p1", "--map=(t^4 - 4*s^2*t^2 + 4*s^4, s^3*t + s^4)"],
+    ["--cyclotomic", "3", "classify-p1",
+     "--map=x^3 + 3*w*x^2 + 3*w^2*x - 3*x - 4*w + 1"],
+    ["--cyclotomic", "3", "classify-p1", "--map=w*x^3"],
+    ["--cyclotomic", "3", "orbifold-cover", "--map=w*x^3",
+     "--orbifold=inf:inf,0:inf"],
 ]
 
 
@@ -76,7 +120,7 @@ def golden_commands():
     classify = [["classify", "--f", f"({f1.comp1}, {f1.comp2})",
                  "--g", f"({f2.comp1}, {f2.comp2})"]
                 for f1, f2 in criterion_10_pairs()]
-    return README_COMMANDS + classify
+    return README_COMMANDS + classify + P1_COMMANDS
 
 
 def render_reports() -> str:
