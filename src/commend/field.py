@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 
 def euler_phi(n: int) -> int:
@@ -212,6 +212,9 @@ class Coefficient:
     def is_zero(self) -> bool:
         return not any(self.res)
 
+    def __bool__(self) -> bool:
+        return any(self.res)
+
     def is_one(self) -> bool:
         return self.order == 1 and self.res[0] == 1
 
@@ -261,7 +264,11 @@ class Coefficient:
         return Coefficient(self.order, [-x for x in self.res])
 
     def __sub__(self, other):
-        return self + (-Coefficient.coerce(other))
+        other = Coefficient.coerce(other)
+        if self.order == 1 == other.order:
+            return Coefficient._rational(self.res[0] - other.res[0])
+        n, a, b = self._pair(other)
+        return Coefficient(n, [x - y for x, y in zip(a, b)])
 
     def __rsub__(self, other):
         return Coefficient.coerce(other) - self

@@ -9,7 +9,6 @@ first, then the exponent tuple lexicographically in variable order.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import BothZero, NotASquare, NotDivisible
@@ -295,8 +294,8 @@ class MPoly:
             return MPoly.zero()
         variables, rem, div = self._aligned(other)
         if len(variables) == 1:
-            quot, r = dense_divmod(self.dense_in(variables[0]),
-                                   other.dense_in(variables[0]))
+            quot, r = dense_divmod(*kernel_lists(self.dense_in(variables[0]),
+                                                 other.dense_in(variables[0])))
             if r:
                 raise NotDivisible(
                     f"monomial {(len(r) - 1,)} not reducible by divisor")
@@ -382,40 +381,72 @@ def session_order(*polys: MPoly) -> int:
 # ---------------------------------------------------------------------------
 # Dense univariate kernel: coefficient lists [c0, ..., cd] over the field
 # ---------------------------------------------------------------------------
-# Lists are trimmed (last entry nonzero); the zero polynomial is [].
+# Lists are trimmed (last entry nonzero); the zero polynomial is [].  The
+# kernel uses only + - * /, truthiness and == 1 on the entries, so the same
+# code runs on Fraction lists over Q and on Coefficient lists over Q(zeta_n).
+# `kernel_lists` turns Coefficient lists into Fractions when every entry is
+# rational; `from_dense` and `MPoly.make` coerce the entries back.  Divisors
+# must hold Fractions or Coefficients: int / int would give a float.
 
 
-def _trim(a: list[Coefficient]) -> list[Coefficient]:
+def kernel_lists(*lists: list[Coefficient]) -> list[list]:
+    """The lists with Fraction entries when every entry of every list is
+    rational (order 1), else unchanged."""
+    if all(c.order == 1 for a in lists for c in a):
+        return [[c.res[0] for c in a] for a in lists]
+    return list(lists)
+
+
+def _trim(a: list) -> list:
     a = list(a)
-    while a and a[-1].is_zero():
+    while a and not a[-1]:
         a.pop()
     return a
 
 
-def _dense_monic(a: list[Coefficient]) -> list[Coefficient]:
-    if not a or a[-1].is_one():
+def _dense_monic(a: list) -> list:
+    if not a or a[-1] == 1:
         return a
-    inv = a[-1].inverse()
+    inv = 1 / a[-1]
     return [c * inv for c in a]
 
 
-def from_dense(a: list[Coefficient], name: str) -> MPoly:
+def _dense_sub(a: list, b: list) -> list:
+    n = min(len(a), len(b))
+    return _trim([x - y for x, y in zip(a, b)] + a[n:] + [-y for y in b[n:]])
+
+
+def _dense_derivative(a: list) -> list:
+    return _trim([c * k for k, c in enumerate(a)][1:])
+
+
+def from_dense(a: list, name: str) -> MPoly:
     """The polynomial sum a[k] * name^k."""
     return MPoly.make((name,), {(k,): c for k, c in enumerate(a)})
 
 
-def dense_mul(a: list[Coefficient], b: list[Coefficient]) -> list[Coefficient]:
+def dense_eval(a: list, x):
+    """a(x) of a nonzero list, by Horner's rule."""
+    acc = a[-1]
+    for c in reversed(a[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def dense_mul(a: list, b: list) -> list:
     if not a or not b:
         return []
-    out = [Coefficient.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x.is_zero():
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
+    # seed every slot with one product (row b[0] and column a[-1]), so the
+    # entries keep the inputs' type, then add the others
+    out = [x * b[0] for x in a] + [a[-1] * y for y in b[1:]]
+    for i, x in enumerate(a[:-1]):
+        if x:
+            for j in range(1, len(b)):
+                out[i + j] = out[i + j] + x * b[j]
     return _trim(out)
 
 
-def dense_divmod(a: list[Coefficient], b: list[Coefficient]):
+def dense_divmod(a: list, b: list):
     """(quotient, remainder) of a by the nonzero b, both trimmed."""
     a, b = _trim(a), _trim(b)
     if not b:
@@ -423,18 +454,18 @@ def dense_divmod(a: list[Coefficient], b: list[Coefficient]):
     db = len(b) - 1
     if len(a) <= db:
         return [], a
-    inv = b[-1].inverse()
-    quot = [Coefficient.zero()] * (len(a) - db)
+    inv = 1 / b[-1]
+    quot = [None] * (len(a) - db)
     for i in range(len(quot) - 1, -1, -1):
         c = a[i + db] * inv
         quot[i] = c
-        if not c.is_zero():
+        if c:
             for j in range(db):
                 a[i + j] = a[i + j] - c * b[j]
     return quot, _trim(a[:db])
 
 
-def dense_gcd(a: list[Coefficient], b: list[Coefficient]) -> list[Coefficient]:
+def dense_gcd(a: list, b: list) -> list:
     """The monic gcd by Euclid's algorithm, each remainder made monic."""
     a, b = _dense_monic(_trim(a)), _trim(b)
     while b:
@@ -443,20 +474,45 @@ def dense_gcd(a: list[Coefficient], b: list[Coefficient]) -> list[Coefficient]:
     return a
 
 
-def dense_inverse_mod(a: list[Coefficient], f: list[Coefficient]):
+def dense_inverse_mod(a: list, f: list) -> list:
     """The s of degree below deg f with s * a = 1 mod f, by the extended
     Euclid; raises NotDivisible when a and f share a factor."""
     r0, r1 = _trim(f), dense_divmod(a, f)[1]
-    s0, s1 = [], [Coefficient.one()]
+    s0, s1 = [], [r0[-1] / r0[-1]]
     # invariant: s0 * a = r0 and s1 * a = r1 (mod f)
     while len(r1) > 1:
         q, r = dense_divmod(r0, r1)
-        qs1 = zip_longest(s0, dense_mul(q, s1), fillvalue=Coefficient.zero())
-        r0, r1, s0, s1 = r1, r, s1, _trim([x - y for x, y in qs1])
+        r0, r1, s0, s1 = r1, r, s1, _dense_sub(s0, dense_mul(q, s1))
     if not r1:
         raise NotDivisible("not invertible: the polynomials share a factor")
-    inv = r1[0].inverse()
+    inv = 1 / r1[0]
     return dense_divmod([c * inv for c in s1], f)[1]
+
+
+def dense_squarefree(a: list):
+    """(unit, [(factor, multiplicity)]) of a nonzero list by Yun's
+    algorithm: monic squarefree coprime factors, ascending multiplicity."""
+    a = _trim(a)
+    w = _dense_monic(a)
+    dw = _dense_derivative(w)
+    g = dense_gcd(w, dw)
+    c, d = dense_divmod(w, g)[0], dense_divmod(dw, g)[0]
+    d = _dense_sub(d, _dense_derivative(c))
+    factors, k = [], 1
+    while len(c) > 1:
+        g = dense_gcd(c, d)
+        if len(g) > 1:
+            factors.append((g, k))
+        c = dense_divmod(c, g)[0]
+        d = _dense_sub(dense_divmod(d, g)[0], _dense_derivative(c))
+        k += 1
+    rebuilt = [a[-1]]
+    for f, m in factors:
+        for _ in range(m):
+            rebuilt = dense_mul(rebuilt, f)
+    if rebuilt != a:
+        raise AssertionError("squarefree factors do not rebuild p")
+    return a[-1], factors
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +566,8 @@ def gcd_poly(a: MPoly, b: MPoly) -> MPoly:
     variables = sorted(set(a.vars) | set(b.vars), key=_var_rank)
     name = variables[0]
     if len(variables) == 1:
-        return from_dense(dense_gcd(a.dense_in(name), b.dense_in(name)), name)
+        return from_dense(dense_gcd(*kernel_lists(a.dense_in(name),
+                                                  b.dense_in(name))), name)
     if not a.depends_on(name) or not b.depends_on(name):
         # main variable missing from one side: gcd divides that side's content
         if a.depends_on(name):
@@ -549,12 +606,21 @@ def gcd_poly(a: MPoly, b: MPoly) -> MPoly:
 
 
 def squarefree_decompose(p: MPoly):
-    """(unit, [(factor, multiplicity)]) with monic squarefree coprime factors."""
+    """(unit, [(factor, multiplicity)]) with monic squarefree coprime factors.
+
+    A polynomial in one variable goes through `dense_squarefree`, in
+    Fractions over Q; otherwise Yun's algorithm runs on the primitive part
+    in the first variable, the content recursing down to that case.
+    """
     if p.is_zero():
         raise ValueError("zero polynomial")
     if p.is_constant():
         return p.constant_value(), []
     name = p.vars[0]
+    if len(p.vars) == 1:
+        unit, factors = dense_squarefree(*kernel_lists(p.dense_in(name)))
+        return (Coefficient.coerce(unit),
+                [(from_dense(f, name), m) for f, m in factors])
     ua = p.univariate_in(name)
     cont = _content(ua)
     prim = MPoly.from_univariate([c.exact_divide(cont) for c in ua], name)
@@ -711,33 +777,46 @@ def forms_share_zero(f: MPoly, g: MPoly, uname: str, vname: str,
         raise BothZero("two zero forms")
     if f.is_zero() or g.is_zero():
         return True
-    fa = _trim([f.coefficient_of({uname: m - k, vname: k}) for k in range(m + 1)])
-    ga = _trim([g.coefficient_of({uname: n - k, vname: k}) for k in range(n + 1)])
+    fa, ga = map(_trim, kernel_lists(
+        [f.coefficient_of({uname: m - k, vname: k}) for k in range(m + 1)],
+        [g.coefficient_of({uname: n - k, vname: k}) for k in range(n + 1)]))
     if len(fa) <= m and len(ga) <= n:
         return True
     return len(dense_gcd(fa, ga)) > 1
 
 
 def rational_roots(p: MPoly) -> list[Fraction]:
-    """Field-rational roots of a univariate polynomial with rational coefficients.
+    """Field-rational roots of a univariate polynomial with rational
+    coefficients, by `dense_rational_roots` on its coefficient list.
 
     Returns [] when coefficients leave Q (honest under-approximation, see notes).
     """
-    if p.is_zero() or p.is_constant():
+    if p.is_constant():
         return []
     if len(p.vars) != 1:
         raise ValueError("rational_roots needs a univariate polynomial")
-    coeffs = p.univariate_in(p.vars[0])
-    vals = []
-    for c in coeffs:
-        cv = c.constant_value()
-        if not cv.is_rational():
+    return dense_rational_roots(p.dense_in(p.vars[0]))
+
+
+def dense_rational_roots(a: list) -> list[Fraction]:
+    """The rational roots, ascending, of a list of Fractions or Coefficients;
+    [] when a coefficient leaves Q.
+
+    The candidates are +-p/q with p dividing the lowest nonzero and q the
+    leading coefficient of the integer multiple; each reduced a/b is tested
+    by one integer Horner pass, sum c_k a^k b^(n-k) == 0.
+    """
+    a = _trim(a)
+    if len(a) < 2:
+        return []
+    if isinstance(a[-1], Coefficient):
+        if any(c.order != 1 for c in a):
             return []
-        vals.append(cv.rational_value)
+        a = [c.res[0] for c in a]
     den = 1
-    for v in vals:
+    for v in a:
         den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in vals]
+    ints = [int(v * den) for v in a]
     roots = []
     low = next(i for i, c in enumerate(ints) if c)
     if low > 0:
@@ -755,13 +834,20 @@ def rational_roots(p: MPoly) -> list[Fraction]:
             d += 1
         return out
 
+    def is_root(num, den):
+        acc, scale = ints[-1], 1
+        for c in reversed(ints[:-1]):
+            scale *= den
+            acc = acc * num + c * scale
+        return acc == 0
+
     seen = set(roots)
     for p_ in divs(a0):
         for q_ in divs(an):
             for cand in (Fraction(p_, q_), Fraction(-p_, q_)):
                 if cand in seen:
                     continue
-                if sum(c * cand**k for k, c in enumerate(ints)) == 0:
+                if is_root(cand.numerator, cand.denominator):
                     seen.add(cand)
                     roots.append(cand)
     return sorted(roots)

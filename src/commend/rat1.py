@@ -15,9 +15,9 @@ from math import inf
 from .errors import (BadPointCount, InfinityWeightViolation, NoCaseMatch,
                      PreconditionViolated)
 from .field import Coefficient, _solve_linear
-from .mpoly import (MPoly, dense_divmod, dense_gcd, dense_inverse_mod,
-                    dense_mul, forms_share_zero, from_dense, rational_roots,
-                    squarefree_decompose)
+from .mpoly import (MPoly, dense_divmod, dense_eval, dense_gcd,
+                    dense_inverse_mod, dense_mul, dense_rational_roots,
+                    dense_squarefree, forms_share_zero, kernel_lists)
 
 # ---------------------------------------------------------------------------
 # Projective points
@@ -48,14 +48,12 @@ def homogenise(p: MPoly, d: int) -> MPoly:
     """The degree-d binary form s^d p(t/s) of a polynomial p in x alone."""
     if set(p.vars) - {"x"} or not 0 <= p.total_degree() <= d:
         raise ValueError(f"need a nonzero polynomial in x of degree at most {d}")
-    return MPoly.make(("s", "t"), {(d - sum(e), sum(e)): c
-                                   for e, c in p.terms.items()})
+    return _form_from_dense(p.dense_in("x"), d)
 
 
-def dehomogenise(form: MPoly) -> MPoly:
-    """form(1, x) as a polynomial in x, for a binary form in s, t."""
-    # homogeneous, so each power of t carries exactly one term
-    return from_dense(form.dense_in("t"), "x")
+def _form_from_dense(a: list, d: int) -> MPoly:
+    """The degree-d binary form sum a[k] s^(d-k) t^k."""
+    return MPoly.make(("s", "t"), {(d - k, k): c for k, c in enumerate(a)})
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +106,21 @@ class RatMap1:
         return RatMap1(MPoly.var("s", d), homogenise(p, d))
 
     def apply(self, point):
-        vals = {"s": point[0], "t": point[1]}
-        return normalize_point(self.formS.evaluate(vals), self.formT.evaluate(vals))
+        """The image of `point`, normalised.  At [1:x] each form's
+        coefficient list is evaluated at x by Horner's rule, in Fractions
+        when x and the coefficients are rational; at [0:1] the image is
+        the forms' t^d coefficients."""
+        s, x = normalize_point(*point)
+        if not s:
+            d = self.degree
+            return normalize_point(self.formS.coefficient_of({"t": d}),
+                                   self.formT.coefficient_of({"t": d}))
+
+        def value(form):
+            (x_,), coeffs = kernel_lists([x], form.dense_in("t"))
+            return dense_eval(coeffs, x_)
+
+        return normalize_point(value(self.formS), value(self.formT))
 
     def __eq__(self, other):
         if not isinstance(other, RatMap1):
@@ -145,7 +156,7 @@ class PullbackDivisor:
     """Fiber of a point: split rational points plus unsplit residual factors.
 
     The rational points are the zeros found per squarefree factor of the
-    dehomogenised fiber form, with infinity from the power of s; see
+    fiber form's coefficient list, with infinity from the power of s; see
     `_form_split`.
     """
 
@@ -166,22 +177,24 @@ def _form_split(form: MPoly):
 
     Returns ([(point, mult)], [(residual form, mult)]): infinity first, then
     the rational points in ascending order, and per multiplicity one
-    squarefree form carrying the zeros left unsplit.  Infinity's multiplicity
-    is the power of s, the drop in degree of form(1, x).  The rational zeros
-    are those `rational_roots` finds on each factor of Yun's squarefree
-    decomposition of form(1, x).
+    squarefree form carrying the zeros left unsplit.  Everything runs on the
+    coefficient list of form(1, x), in Fractions over Q: infinity's
+    multiplicity is the drop in its degree, `dense_squarefree` splits it by
+    multiplicity, `dense_rational_roots` finds each factor's rational zeros
+    and synthetic division strips them, and each residual factor is
+    homogenised from its list.
     """
-    aff = dehomogenise(form)
-    k = form.total_degree() - aff.total_degree()
+    (aff,) = kernel_lists(form.dense_in("t"))
+    k = form.total_degree() - (len(aff) - 1)
     points = [(POINT_INF, k)] if k else []
     affine, residual = [], []
-    for f, m in squarefree_decompose(aff)[1]:
-        roots = rational_roots(f)
+    for f, m in dense_squarefree(aff)[1]:
+        roots = dense_rational_roots(f)
         for x0 in roots:
-            f = f.exact_divide(MPoly.var("x") - x0)
+            f = dense_divmod(f, [-x0, Fraction(1)])[0]
         affine += [(x0, m) for x0 in roots]
-        if not f.is_constant():
-            residual.append((homogenise(f, f.total_degree()), m))
+        if len(f) > 1:
+            residual.append((_form_from_dense(f, len(f) - 1), m))
     return points + [(affine_point(x0), m) for x0, m in sorted(affine)], residual
 
 
@@ -512,9 +525,9 @@ def _critical_values(r: RatMap1, rational, residual):
 
     for p, _m in rational:
         add(r.apply(p))
-    num, den = r.formT.dense_in("t"), r.formS.dense_in("t")
     for f, _m in residual:
-        aff = f.dense_in("t")
+        num, den, aff = kernel_lists(r.formT.dense_in("t"),
+                                     r.formS.dense_in("t"), f.dense_in("t"))
         poles = dense_gcd(aff, den)
         if len(poles) > 1:
             add(POINT_INF)
@@ -523,7 +536,7 @@ def _critical_values(r: RatMap1, rational, residual):
             v = dense_divmod(dense_mul(num, dense_inverse_mod(den, aff)),
                              aff)[1]
             mu = _minimal_polynomial(v, aff)
-            roots = rational_roots(from_dense(mu, "x"))
+            roots = dense_rational_roots(mu)
             if len(roots) != len(mu) - 1:
                 return None  # some critical value leaves the session field
             for y0 in roots:
@@ -535,19 +548,21 @@ def _minimal_polynomial(v, f):
     """The monic minimal polynomial of v in K[x]/(f), dense lists: the first
     linear dependency among the reductions of 1, v, v^2, ... mod f."""
     k = len(f) - 1
+    one = f[-1] / f[-1]
+    zero = one - one
 
     def vector(a):
-        return a + [Coefficient.zero()] * (k - len(a))
+        return a + [zero] * (k - len(a))
 
-    powers = [vector([Coefficient.one()])]
-    power = [Coefficient.one()]
+    powers = [vector([one])]
+    power = [one]
     while True:
         power = dense_divmod(dense_mul(power, v), f)[1]
         target = vector(power)
         matrix = [tuple(col[i] for col in powers) for i in range(k)]
         sol = _solve_linear(matrix, target)
         if sol is not None:
-            return [-c for c in sol] + [Coefficient.one()]
+            return [-c for c in sol] + [one]
         powers.append(target)
 
 

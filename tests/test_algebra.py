@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,15 +11,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from commend.cli import main
 from commend.errors import (NotASquare, NotDivisible, ParseError,
                             UnknownVariable)
 from commend.field import (Coefficient, _solve_linear, euler_phi, kth_roots,
                            roots_of_unity)
 from commend.mpoly import (MPoly, binary_form_resultant, dense_divmod,
-                           dense_inverse_mod, dense_mul, forms_share_zero,
-                           gcd_poly, poly_sqrt, rational_roots, resultant,
+                           dense_gcd, dense_inverse_mod, dense_mul,
+                           dense_rational_roots, dense_squarefree,
+                           forms_share_zero, from_dense, gcd_poly,
+                           kernel_lists, poly_sqrt, rational_roots, resultant,
                            squarefree_decompose, squarefree_part)
 from commend.parse import parse_map_pair, parse_poly
+from commend.rat1 import _form_split, affine_point
 from commend.render import render_poly
 
 X = MPoly.var("x")
@@ -303,6 +308,122 @@ class TestMPoly:
         if p.is_zero() or q.is_zero():
             return
         assert (p * q).exact_divide(q) == p
+
+
+def _entries(result):
+    """Every field entry of a kernel result: lists, pairs, (list, mult)."""
+    if isinstance(result, (list, tuple)):
+        return [c for r in result for c in _entries(r)]
+    return [] if result is None or isinstance(result, int) else [result]
+
+
+def _kernel_results(a, b):
+    """Each dense function's result on a and b (None for NotDivisible)."""
+    out = {"mul": dense_mul(a, b), "gcd": dense_gcd(a, b)}
+    if b:
+        out["divmod"] = dense_divmod(a, b)
+    if len(b) > 1:
+        try:
+            out["inverse_mod"] = dense_inverse_mod(a, b)
+        except NotDivisible:
+            out["inverse_mod"] = None
+    if len(a) > 1:
+        out["squarefree"] = dense_squarefree(a)
+    return out
+
+
+@st.composite
+def repeated_factors(draw, order):
+    """A univariate polynomial with repeated factors, as a Coefficient list."""
+    p = MPoly.constant(draw(field_elements(order).filter(bool)))
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(univariate(order, min_degree=1, max_degree=2))
+        p = p * g ** draw(st.integers(1, 3))
+    return p.dense_in("x")
+
+
+class TestDenseKernel:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_fractions_and_coefficients_agree_over_q(self, data):
+        # one kernel: the same rational lists as Fractions and as
+        # Coefficients give equal results, each in its input's type
+        a = data.draw(univariate(1, max_degree=4)).dense_in("x")
+        b = data.draw(univariate(1, max_degree=3)).dense_in("x")
+        if data.draw(st.booleans()):
+            a = data.draw(repeated_factors(1))
+        fa, fb = kernel_lists(a, b)
+        assert all(type(c) is Fraction for c in fa + fb)
+        want = _kernel_results(a, b)
+        got = _kernel_results(fa, fb)
+        assert got == want
+        assert all(type(c) is Coefficient for c in _entries(list(want.values())))
+        assert all(type(c) is Fraction for c in _entries(list(got.values())))
+
+    @given(st.sampled_from([1, 3]), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_squarefree_factors_rebuild_the_input(self, order, data):
+        a = data.draw(repeated_factors(order))
+        (a,) = kernel_lists(a)
+        unit, factors = dense_squarefree(a)
+        rebuilt = MPoly.constant(unit)
+        for f, m in factors:
+            assert f[-1] == 1
+            rebuilt = rebuilt * from_dense(f, "x") ** m
+        assert rebuilt == from_dense(a, "x")
+        assert [m for _f, m in factors] == sorted({m for _f, m in factors})
+        for i, (f, _m) in enumerate(factors):
+            fx = from_dense(f, "x")
+            if len(f) > 2:
+                assert not resultant(fx, fx.derivative("x"), "x").is_zero()
+            for g, _n in factors[i + 1:]:
+                assert not resultant(fx, from_dense(g, "x"), "x").is_zero()
+        assert not any(isinstance(c, float) for c in _entries([unit, factors]))
+        # the MPoly entry point is the same decomposition
+        got = squarefree_decompose(from_dense(a, "x"))
+        assert got == (unit, [(from_dense(f, "x"), m) for f, m in factors])
+
+    @given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4),
+                    min_size=1, max_size=4),
+           st.sampled_from(["x^2 + 1", "x^2 - 2", "3*x^3 - 5*x + 1", "1"]))
+    @settings(max_examples=40, deadline=None)
+    def test_rational_roots_as_list_and_mpoly(self, roots, cofactor):
+        p = parse_poly(cofactor)
+        for x0 in roots:
+            p = p * (X - MPoly.constant(x0))
+        assert rational_roots(p) == sorted(set(roots))
+        (a,) = kernel_lists(p.dense_in("x"))
+        assert dense_rational_roots(a) == sorted(set(roots))
+        assert dense_rational_roots(p.dense_in("x")) == sorted(set(roots))
+
+    def test_residual_keeps_exact_rationals(self):
+        # an int divisor [-x0, 1] would divide 1 / 1 = 1.0 and leave float
+        # entries (1032074914605739/281474976710656*s^2 for 11/3*s^2)
+        s, t = MPoly.var("s"), MPoly.var("t")
+        form = (t - s) * (t + s.scale(2)) * parse_poly("11*s^2 - 12*s*t + 3*t^2")
+        points, residual = _form_split(form)
+        assert points == [(affine_point(-2), 1), (affine_point(1), 1)]
+        assert residual == [(parse_poly("11/3*s^2 - 4*s*t + t^2"), 1)]
+        for f, _m in residual:
+            assert all(type(c.res[0]) is Fraction for c in f.terms.values())
+
+    def test_chebyshev_map_of_query_108_is_classified(self, capsys):
+        # a float residual sends rational_roots into a practically endless
+        # candidate loop on this map (p1-classify, seed 1, query 108); a
+        # subprocess bounds a hang, then the call is timed in-process
+        argv = ["classify-p1", "--map=(7*s^6 - 120*s^5*t + 270*s^4*t^2 "
+                "- 248*s^3*t^3 + 111*s^2*t^4 - 24*s*t^5 + 2*t^6, 78*s^6 "
+                "- 432*s^5*t + 780*s^4*t^2 - 656*s^3*t^3 + 282*s^2*t^4 "
+                "- 60*s*t^5 + 5*t^6)"]
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-m", "commend.cli", *argv],
+                             capture_output=True, text=True, timeout=30,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.returncode == 0 and "ChebyshevLike" in out.stdout
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out == out.stdout
 
 
 class TestParseRender:

@@ -14,7 +14,7 @@ from commend.mpoly import (MPoly, gcd_poly, rational_roots, resultant,
                            squarefree_decompose, squarefree_part)
 from commend.parse import parse_poly
 from commend.rat1 import (POINT_INF, Orbifold1, RatMap1, affine_point,
-                          classify_infinity, commutes1, compose1, dehomogenise,
+                          classify_infinity, commutes1, compose1,
                           is_orbifold_selfcover, parabolic_check,
                           points_equal, portrait, pullback_divisor,
                           standard_orbifolds)
@@ -62,6 +62,34 @@ class TestRatMap1:
         r1 = RatMap1(parse_poly("2*s^2"), parse_poly("2*t^2"))
         assert r1 == RatMap1(parse_poly("s^2"), parse_poly("t^2"))
 
+    @given(st.sampled_from([1, 3]), st.integers(1, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_apply_matches_evaluation(self, order, d, data):
+        # Horner over the coefficient lists against MPoly.evaluate
+        w = Coefficient.root_of_unity(3)
+        values = st.integers(-3, 3).map(Coefficient.rational)
+        if order == 3:
+            values = st.builds(lambda a, b: a + w * b, values, values)
+        s, t = MPoly.var("s"), MPoly.var("t")
+
+        def form():
+            return MPoly._sum((s**(d - k) * t**k).scale(data.draw(values))
+                              for k in range(d + 1))
+
+        try:
+            r = RatMap1(form(), form())
+        except ValueError:
+            assume(False)
+        points = [(0, 1), (1, 0), (2, 6), (Coefficient.rational(-3), 1),
+                  (1, w), (w, w * w + 1), (data.draw(values), data.draw(values))]
+        for point in points:
+            if not point[0] and not point[1]:
+                continue
+            vals = {"s": point[0], "t": point[1]}
+            want = rat1.normalize_point(r.formS.evaluate(vals),
+                                        r.formT.evaluate(vals))
+            assert r.apply(point) == want
+
     def test_pullback_divisor(self):
         fiber = pullback_divisor(SQUARE, affine_point(4))
         pts = {(str(p[0]), str(p[1])): m for p, m in fiber.marked_points}
@@ -78,10 +106,15 @@ IRREDUCIBLE = (T**2 + S**2, T**2 - S**2 * 2, T**2 + S * T + S**2 * 3,
                T**3 - S**3 * 2, T**3 + S**2 * T + S**3)
 
 
+def dehomogenise(form):
+    """form(1, x), by substitution."""
+    return form.substitute({"s": MPoly.one(), "t": MPoly.var("x")})
+
+
 def expected_fiber(form):
     """(points, [(residual degree, mult)]) from the bivariate squarefree
     decomposition of the whole form and the rational roots of form(1, x)."""
-    aff = form.substitute({"s": MPoly.one(), "t": MPoly.var("x")})
+    aff = dehomogenise(form)
     zeros = [POINT_INF] if aff.total_degree() < form.total_degree() else []
     zeros += [affine_point(x0) for x0 in rational_roots(aff)]
     factors = squarefree_decompose(form)[1]
