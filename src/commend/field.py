@@ -1,13 +1,19 @@
-"""Exact coefficient arithmetic in cyclotomic-rational fields Q(zeta_N).
+"""Exact coefficient arithmetic in cyclotomic-rational fields Q(zeta_N), and
+the dense univariate list kernel it runs on (`mpoly` and `rat1` use it too).
 
 A Coefficient stores the order N of the field it lives in and its residue
 vector: the coordinates of the element in the power basis 1, z, ..., z^(phi(N)-1)
-of Q[z]/Phi_N(z).  Every constructor contracts the element to the smallest
+of Q[z]/Phi_N(z).  Residue arithmetic is list arithmetic modulo Phi_N on the
+kernel: a product is `dense_mul` then the remainder by Phi_N, an inverse is
+`dense_inverse_mod`.  Every constructor contracts the element to the smallest
 order that contains it, so equality and hashing are canonical across fields.
 Mixed-order arithmetic lifts both operands to the lcm of their orders.
 
 Rational elements (order 1) never go through `lift`, `_pair` or `_contract`:
 arithmetic on two of them works on the Fractions and skips `__init__`.
+Negation, `inverse`, and `+`, `-`, `*` with exactly one rational operand
+keep the operand's order and build the result from residues, also skipping
+`__init__` and `_contract`.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
+
+from .errors import NotDivisible
 
 
 def euler_phi(n: int) -> int:
@@ -44,69 +52,99 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _int_poly_divide(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (coefficient lists, low to high)."""
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1]:
-            raise AssertionError("integer polynomial division is not exact")
-        q[i] = c // den[-1]
-        for j, dj in enumerate(den):
-            num[i + j] -= q[i] * dj
-    if any(num):
-        raise AssertionError("integer polynomial division left a remainder")
-    return q
+# ---------------------------------------------------------------------------
+# Dense univariate kernel: coefficient lists [c0, ..., cd] over the field
+# ---------------------------------------------------------------------------
+# Results are trimmed (last entry nonzero); the zero polynomial is [].  The
+# kernel uses only + - * /, truthiness and == 1 on the entries, so the same
+# code runs on Fraction lists over Q and on Coefficient lists over Q(zeta_n).
+# Divisors must hold Fractions or Coefficients: int / int would give a float.
 
+
+def _trim(a: list) -> list:
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _dense_sub(a: list, b: list) -> list:
+    n = min(len(a), len(b))
+    return _trim([x - y for x, y in zip(a, b)] + a[n:] + [-y for y in b[n:]])
+
+
+def dense_mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    # seed every slot with one product (row b[0] and column a[-1]), so the
+    # entries keep the inputs' type, then add the others
+    out = [x * b[0] for x in a] + [a[-1] * y for y in b[1:]]
+    for i, x in enumerate(a[:-1]):
+        if x:
+            for j in range(1, len(b)):
+                out[i + j] = out[i + j] + x * b[j]
+    return _trim(out)
+
+
+def dense_divmod(a: list, b: list):
+    """(quotient, remainder) of a by the nonzero b, both trimmed."""
+    a, b = _trim(a), _trim(b)
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], a
+    inv = 1 / b[-1]
+    quot = [None] * (len(a) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        c = a[i + db] * inv
+        quot[i] = c
+        if c:
+            for j in range(db):
+                a[i + j] = a[i + j] - c * b[j]
+    return quot, _trim(a[:db])
+
+
+def dense_inverse_mod(a: list, f: list) -> list:
+    """The s of degree below deg f with s * a = 1 mod f, by the extended
+    Euclid; raises NotDivisible when a and f share a factor."""
+    r0, r1 = _trim(f), dense_divmod(a, f)[1]
+    s0, s1 = [], [r0[-1] / r0[-1]]
+    # invariant: s0 * a = r0 and s1 * a = r1 (mod f)
+    while len(r1) > 1:
+        q, r = dense_divmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, _dense_sub(s0, dense_mul(q, s1))
+    if not r1:
+        raise NotDivisible("not invertible: the polynomials share a factor")
+    inv = 1 / r1[0]
+    return dense_divmod([c * inv for c in s1], f)[1]
+
+
+# ---------------------------------------------------------------------------
+# Q(zeta_n) = Q[z]/Phi_n on the kernel
+# ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def cyclotomic_int_coeffs(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, low to high degree."""
-    if n == 1:
-        return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    for d in divisors(n):
-        if d < n:
-            num = _int_poly_divide(num, list(cyclotomic_int_coeffs(d)))
+def cyclotomic_coeffs(n: int) -> tuple[Fraction, ...]:
+    """The n-th cyclotomic polynomial, low to high degree, as Fractions:
+    z^n - 1 divided exactly by Phi_d for each proper divisor d of n."""
+    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for d in divisors(n)[:-1]:
+        num = dense_divmod(num, cyclotomic_coeffs(d))[0]
     return tuple(num)
+
+
+def _reduce_mod_cyclotomic(coeffs: list, n: int) -> list[Fraction]:
+    """The phi(n) residues of the polynomial `coeffs` modulo Phi_n."""
+    res = dense_divmod(coeffs, cyclotomic_coeffs(n))[1]
+    return res + [Fraction(0)] * (euler_phi(n) - len(res))
 
 
 @lru_cache(maxsize=None)
 def _power_residues(n: int, upto: int) -> tuple[tuple[Fraction, ...], ...]:
     """Residues of z^k mod Phi_n for 0 <= k < upto, as phi(n)-vectors."""
-    phi = euler_phi(n)
-    mod = cyclotomic_int_coeffs(n)
-    rows = []
-    cur = [Fraction(0)] * phi
-    cur[0] = Fraction(1)
-    for _ in range(upto):
-        rows.append(tuple(cur))
-        nxt = [Fraction(0)] * (phi + 1)
-        for i, c in enumerate(cur):
-            nxt[i + 1] = c
-        lead = nxt[phi]
-        if lead:
-            for j in range(phi):
-                nxt[j] -= lead * mod[j]
-        cur = nxt[:phi]
-    return tuple(rows)
-
-
-def _reduce_mod_cyclotomic(coeffs: list[Fraction], n: int) -> list[Fraction]:
-    phi = euler_phi(n)
-    mod = cyclotomic_int_coeffs(n)
-    res = list(coeffs)
-    for i in range(len(res) - 1, phi - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = Fraction(0)
-            for j in range(phi):
-                res[i - phi + j] -= c * mod[j]
-    res = res[:phi]
-    res.extend([Fraction(0)] * (phi - len(res)))
-    return res
+    return tuple(tuple(_reduce_mod_cyclotomic([Fraction(0)] * k + [Fraction(1)], n))
+                 for k in range(upto))
 
 
 def _solve_linear(matrix, rhs):
@@ -191,16 +229,17 @@ class Coefficient:
         return _ONE
 
     @staticmethod
+    def _canonical(order: int, res: tuple) -> "Coefficient":
+        """The element with these residues at an order already minimal."""
+        c = object.__new__(Coefficient)
+        object.__setattr__(c, "order", order)
+        object.__setattr__(c, "res", res)
+        return c
+
+    @staticmethod
     def root_of_unity(order: int, power: int = 1) -> "Coefficient":
-        power %= order
-        phi = euler_phi(order)
-        coeffs = [Fraction(0)] * (power + 1)
-        coeffs[power] = Fraction(1)
-        if power >= phi:
-            coeffs = _reduce_mod_cyclotomic(coeffs, order)
-        else:
-            coeffs.extend([Fraction(0)] * (phi - len(coeffs)))
-        return Coefficient(order, coeffs[:phi])
+        z_k = [Fraction(0)] * (power % order) + [Fraction(1)]
+        return Coefficient(order, _reduce_mod_cyclotomic(z_k, order))
 
     @staticmethod
     def coerce(value) -> "Coefficient":
@@ -235,12 +274,9 @@ class Coefficient:
         if order == self.order:
             return order, self.res
         step = order // self.order
-        phi = euler_phi(order)
-        out = [Fraction(0)] * (len(self.res) * step + 1)
-        for j, c in enumerate(self.res):
-            out[j * step] += c
-        red = _reduce_mod_cyclotomic(out, order)
-        return order, tuple(red[:phi])
+        out = [Fraction(0)] * (len(self.res) * step)
+        out[::step] = self.res
+        return order, tuple(_reduce_mod_cyclotomic(out, order))
 
     def _pair(self, other: "Coefficient"):
         n = lcm(self.order, other.order)
@@ -249,10 +285,16 @@ class Coefficient:
         return n, a, b
 
     # -- arithmetic ---------------------------------------------------
+    # A rational shift, or a nonzero rational multiple, of x lies in exactly
+    # the same subfields as x: with one rational operand the result keeps
+    # the other's order and is built from its residues without `_contract`.
     def __add__(self, other):
         other = Coefficient.coerce(other)
         if self.order == 1 == other.order:
             return Coefficient._rational(self.res[0] + other.res[0])
+        if self.order == 1 or other.order == 1:
+            x, q = (self, other.res[0]) if other.order == 1 else (other, self.res[0])
+            return Coefficient._canonical(x.order, (x.res[0] + q,) + x.res[1:])
         n, a, b = self._pair(other)
         return Coefficient(n, [x + y for x, y in zip(a, b)])
 
@@ -261,12 +303,17 @@ class Coefficient:
     def __neg__(self):
         if self.order == 1:
             return Coefficient._rational(-self.res[0])
-        return Coefficient(self.order, [-x for x in self.res])
+        return Coefficient._canonical(self.order, tuple(-x for x in self.res))
 
     def __sub__(self, other):
         other = Coefficient.coerce(other)
         if self.order == 1 == other.order:
             return Coefficient._rational(self.res[0] - other.res[0])
+        if other.order == 1:
+            r = self.res
+            return Coefficient._canonical(self.order, (r[0] - other.res[0],) + r[1:])
+        if self.order == 1:
+            return -other + self
         n, a, b = self._pair(other)
         return Coefficient(n, [x - y for x, y in zip(a, b)])
 
@@ -277,14 +324,13 @@ class Coefficient:
         other = Coefficient.coerce(other)
         if self.order == 1 == other.order:
             return Coefficient._rational(self.res[0] * other.res[0])
+        if other.order == 1 or self.order == 1:
+            x, q = (self, other.res[0]) if other.order == 1 else (other, self.res[0])
+            if not q:
+                return _ZERO
+            return Coefficient._canonical(x.order, tuple(q * c for c in x.res))
         n, a, b = self._pair(other)
-        prod = [Fraction(0)] * (len(a) + len(b) - 1 if a and b else 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return Coefficient(n, _reduce_mod_cyclotomic(prod, n))
+        return Coefficient(n, _reduce_mod_cyclotomic(dense_mul(a, b), n))
 
     __rmul__ = __mul__
 
@@ -293,37 +339,10 @@ class Coefficient:
             raise ZeroDivisionError("inverse of zero")
         if self.order == 1:
             return Coefficient._rational(1 / self.res[0])
-        # extended Euclid of the residue polynomial and Phi_N over Q[x]
-        mod = [Fraction(c) for c in cyclotomic_int_coeffs(self.order)]
-        r0, r1 = mod, list(self.res)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        t0, t1 = [Fraction(1)], [Fraction(0)]
-
-        def _deg(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
-
-        def _sub_scaled(a, b, c, shift):
-            out = list(a) + [Fraction(0)] * max(0, _deg(b) + shift + 1 - len(a))
-            for i in range(_deg(b) + 1):
-                out[i + shift] -= c * b[i]
-            return out
-
-        while _deg(r1) > 0:
-            while _deg(r0) >= _deg(r1):
-                d = _deg(r0) - _deg(r1)
-                c = r0[_deg(r0)] / r1[_deg(r1)]
-                r0 = _sub_scaled(r0, r1, c, d)
-                s0 = _sub_scaled(s0, s1, c, d)
-            r0, r1 = r1, r0
-            s0, s1 = s1, s0
-        if _deg(r1):
-            raise AssertionError("a nonzero element shares a factor with the modulus")
-        inv_c = 1 / r1[0]
-        coeffs = [c * inv_c for c in s1]
-        return Coefficient(self.order, _reduce_mod_cyclotomic(coeffs, self.order))
+        # x and 1/x lie in the same subfields, so the order stays minimal
+        inv = dense_inverse_mod(self.res, cyclotomic_coeffs(self.order))
+        return Coefficient._canonical(
+            self.order, tuple(_reduce_mod_cyclotomic(inv, self.order)))
 
     def __truediv__(self, other):
         return self * Coefficient.coerce(other).inverse()

@@ -12,7 +12,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BothZero, NotASquare, NotDivisible
-from .field import Coefficient, kth_roots
+from .field import (Coefficient, _dense_sub, _trim, dense_divmod, dense_mul,
+                    divisors, kth_roots)
 
 # Canonical precedence used to order variable tuples.
 VAR_ORDER = (
@@ -126,9 +127,6 @@ class MPoly:
             if monomial[name] and name not in self.vars:
                 return Coefficient.zero()
         key = tuple(monomial.get(v, 0) for v in self.vars)
-        extra = {v: e for v, e in monomial.items() if e and v not in self.vars}
-        if extra:
-            return Coefficient.zero()
         return self.terms.get(key, Coefficient.zero())
 
     def field_order(self) -> int:
@@ -381,12 +379,13 @@ def session_order(*polys: MPoly) -> int:
 # ---------------------------------------------------------------------------
 # Dense univariate kernel: coefficient lists [c0, ..., cd] over the field
 # ---------------------------------------------------------------------------
-# Lists are trimmed (last entry nonzero); the zero polynomial is [].  The
-# kernel uses only + - * /, truthiness and == 1 on the entries, so the same
-# code runs on Fraction lists over Q and on Coefficient lists over Q(zeta_n).
+# The list primitives (`_trim`, `_dense_sub`, `dense_mul`, `dense_divmod`,
+# `dense_inverse_mod`) live in `field`, whose Q(zeta_n) arithmetic runs on
+# them; the gcd, squarefree and root helpers here build on them, under the
+# same rules: trimmed lists, the zero polynomial [], only + - * /,
+# truthiness and == 1 on the entries, Fraction or Coefficient divisors.
 # `kernel_lists` turns Coefficient lists into Fractions when every entry is
-# rational; `from_dense` and `MPoly.make` coerce the entries back.  Divisors
-# must hold Fractions or Coefficients: int / int would give a float.
+# rational; `from_dense` and `MPoly.make` coerce the entries back.
 
 
 def kernel_lists(*lists: list[Coefficient]) -> list[list]:
@@ -397,23 +396,11 @@ def kernel_lists(*lists: list[Coefficient]) -> list[list]:
     return list(lists)
 
 
-def _trim(a: list) -> list:
-    a = list(a)
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
 def _dense_monic(a: list) -> list:
     if not a or a[-1] == 1:
         return a
     inv = 1 / a[-1]
     return [c * inv for c in a]
-
-
-def _dense_sub(a: list, b: list) -> list:
-    n = min(len(a), len(b))
-    return _trim([x - y for x, y in zip(a, b)] + a[n:] + [-y for y in b[n:]])
 
 
 def _dense_derivative(a: list) -> list:
@@ -433,38 +420,6 @@ def dense_eval(a: list, x):
     return acc
 
 
-def dense_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    # seed every slot with one product (row b[0] and column a[-1]), so the
-    # entries keep the inputs' type, then add the others
-    out = [x * b[0] for x in a] + [a[-1] * y for y in b[1:]]
-    for i, x in enumerate(a[:-1]):
-        if x:
-            for j in range(1, len(b)):
-                out[i + j] = out[i + j] + x * b[j]
-    return _trim(out)
-
-
-def dense_divmod(a: list, b: list):
-    """(quotient, remainder) of a by the nonzero b, both trimmed."""
-    a, b = _trim(a), _trim(b)
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    db = len(b) - 1
-    if len(a) <= db:
-        return [], a
-    inv = 1 / b[-1]
-    quot = [None] * (len(a) - db)
-    for i in range(len(quot) - 1, -1, -1):
-        c = a[i + db] * inv
-        quot[i] = c
-        if c:
-            for j in range(db):
-                a[i + j] = a[i + j] - c * b[j]
-    return quot, _trim(a[:db])
-
-
 def dense_gcd(a: list, b: list) -> list:
     """The monic gcd by Euclid's algorithm, each remainder made monic."""
     a, b = _dense_monic(_trim(a)), _trim(b)
@@ -472,21 +427,6 @@ def dense_gcd(a: list, b: list) -> list:
         b = _dense_monic(b)
         a, b = b, dense_divmod(a, b)[1]
     return a
-
-
-def dense_inverse_mod(a: list, f: list) -> list:
-    """The s of degree below deg f with s * a = 1 mod f, by the extended
-    Euclid; raises NotDivisible when a and f share a factor."""
-    r0, r1 = _trim(f), dense_divmod(a, f)[1]
-    s0, s1 = [], [r0[-1] / r0[-1]]
-    # invariant: s0 * a = r0 and s1 * a = r1 (mod f)
-    while len(r1) > 1:
-        q, r = dense_divmod(r0, r1)
-        r0, r1, s0, s1 = r1, r, s1, _dense_sub(s0, dense_mul(q, s1))
-    if not r1:
-        raise NotDivisible("not invertible: the polynomials share a factor")
-    inv = 1 / r1[0]
-    return dense_divmod([c * inv for c in s1], f)[1]
 
 
 def dense_squarefree(a: list):
@@ -545,7 +485,7 @@ def _content(coeffs: list[MPoly]) -> MPoly:
         g = gcd_poly(g, c)
         if g.is_constant() and not g.is_zero():
             return MPoly.one()
-    return g if not g.is_zero() else MPoly.zero()
+    return g
 
 
 def gcd_poly(a: MPoly, b: MPoly) -> MPoly:
@@ -568,13 +508,13 @@ def gcd_poly(a: MPoly, b: MPoly) -> MPoly:
     if len(variables) == 1:
         return from_dense(dense_gcd(*kernel_lists(a.dense_in(name),
                                                   b.dense_in(name))), name)
-    if not a.depends_on(name) or not b.depends_on(name):
-        # main variable missing from one side: gcd divides that side's content
-        if a.depends_on(name):
-            return gcd_poly(_content(a.univariate_in(name)), b).monic()
-        if b.depends_on(name):
-            return gcd_poly(a, _content(b.univariate_in(name))).monic()
-        return gcd_poly(a, b)  # unreachable: some variable is shared
+    # main variable missing from one side (a canonical MPoly keeps only the
+    # variables it uses, so the other side has it): the gcd divides that
+    # other side's content
+    if not b.depends_on(name):
+        return gcd_poly(_content(a.univariate_in(name)), b).monic()
+    if not a.depends_on(name):
+        return gcd_poly(a, _content(b.univariate_in(name))).monic()
     ua, ub = a.univariate_in(name), b.univariate_in(name)
     ca, cb = _content(ua), _content(ub)
     pa = [c.exact_divide(ca) for c in ua]
@@ -824,16 +764,6 @@ def dense_rational_roots(a: list) -> list[Fraction]:
     ints = ints[low:]
     a0, an = abs(ints[0]), abs(ints[-1])
 
-    def divs(n):
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return out
-
     def is_root(num, den):
         acc, scale = ints[-1], 1
         for c in reversed(ints[:-1]):
@@ -842,8 +772,8 @@ def dense_rational_roots(a: list) -> list[Fraction]:
         return acc == 0
 
     seen = set(roots)
-    for p_ in divs(a0):
-        for q_ in divs(an):
+    for p_ in divisors(a0):
+        for q_ in divisors(an):
             for cand in (Fraction(p_, q_), Fraction(-p_, q_)):
                 if cand in seen:
                     continue

@@ -14,9 +14,9 @@ from math import inf
 
 from .errors import (BadPointCount, InfinityWeightViolation, NoCaseMatch,
                      PreconditionViolated)
-from .field import Coefficient, _solve_linear
-from .mpoly import (MPoly, dense_divmod, dense_eval, dense_gcd,
-                    dense_inverse_mod, dense_mul, dense_rational_roots,
+from .field import (Coefficient, _solve_linear, dense_divmod,
+                    dense_inverse_mod, dense_mul)
+from .mpoly import (MPoly, dense_eval, dense_gcd, dense_rational_roots,
                     dense_squarefree, forms_share_zero, kernel_lists)
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from commend.cli import main
 from commend.errors import (NotASquare, NotDivisible, ParseError,
                             UnknownVariable)
-from commend.field import (Coefficient, _solve_linear, euler_phi, kth_roots,
-                           roots_of_unity)
-from commend.mpoly import (MPoly, binary_form_resultant, dense_divmod,
-                           dense_gcd, dense_inverse_mod, dense_mul,
+from commend.field import (Coefficient, _solve_linear, cyclotomic_coeffs,
+                           dense_divmod, dense_inverse_mod, dense_mul,
+                           divisors, euler_phi, kth_roots, roots_of_unity)
+from commend.mpoly import (MPoly, binary_form_resultant, dense_gcd,
                            dense_rational_roots, dense_squarefree,
                            forms_share_zero, from_dense, gcd_poly,
                            kernel_lists, poly_sqrt, rational_roots, resultant,
@@ -158,6 +158,75 @@ class TestCoefficient:
         # a second row proportional to the first: rank 1
         assert _solve_linear([(one, w), (w, w * w)], [zero, zero]) is None
         assert _solve_linear([(zero, one), (zero, w)], [one, w]) is None
+
+
+CYCLO_ORDERS = [3, 4, 5, 7, 8, 9, 12, 15]
+
+
+@st.composite
+def cyclotomic_elements(draw, n):
+    """An element of Q(zeta_n) from random residues (it may contract)."""
+    return Coefficient(n, [draw(small) for _ in range(euler_phi(n))])
+
+
+class TestCyclotomicArithmetic:
+    @given(st.sampled_from(CYCLO_ORDERS), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_field_laws_and_rational_operands(self, n, data):
+        a, b, c = (data.draw(cyclotomic_elements(n)) for _ in range(3))
+        assert a * b == b * a and a + b == b + a
+        assert (a * b) * c == a * (b * c) and (a + b) + c == a + (b + c)
+        assert a * (b + c) == a * b + a * c
+        if a:
+            assert a * a.inverse() == 1
+        if b:
+            assert (a / b) * b == a
+        # negation and inverse keep the minimal order that __init__ finds
+        for v in [-a] + ([a.inverse()] if a else []):
+            assert Coefficient(n, v.lift(n)[1]) == v
+        # a rational operand, as Fraction, int or Coefficient, on either side
+        q = data.draw(st.one_of(st.just(Fraction(0)), small))
+        res = a.lift(n)[1]
+        expected = {
+            "add": Coefficient(n, [res[0] + q, *res[1:]]),
+            "sub": Coefficient(n, [res[0] - q, *res[1:]]),
+            "rsub": Coefficient(n, [q - res[0], *(-x for x in res[1:])]),
+            "mul": Coefficient(n, [q * x for x in res]),
+        }
+        operands = [q, Coefficient.rational(q)]
+        if q.denominator == 1:
+            operands.append(int(q))
+        for r in operands:
+            got = {"add": (a + r, r + a), "sub": (a - r,), "rsub": (r - a,),
+                   "mul": (a * r, r * a)}
+            for op, values in got.items():
+                for v in values:
+                    assert v == expected[op] and hash(v) == hash(expected[op])
+                    assert all(type(x) is Fraction for x in v.res)
+
+    @given(st.sampled_from(CYCLO_ORDERS), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_subfield_elements_contract_back(self, n, data):
+        m = data.draw(st.sampled_from([d for d in divisors(n) if d < n]))
+        c = data.draw(cyclotomic_elements(m))
+        lifted = Coefficient(n, c.lift(n)[1])
+        assert lifted == c and hash(lifted) == hash(c)
+
+    def test_cyclotomic_polynomials_multiply_to_z_n_minus_one(self):
+        for n in range(1, 37):
+            prod = [Fraction(1)]
+            for d in divisors(n):
+                phi_d = list(cyclotomic_coeffs(d))
+                assert len(phi_d) == euler_phi(d) + 1
+                assert all(type(x) is Fraction for x in phi_d)
+                prod = dense_mul(prod, phi_d)
+            assert prod == [-1] + [0] * (n - 1) + [1]
+
+    def test_root_of_unity_has_exact_order(self):
+        for n in range(1, 37):
+            z = Coefficient.root_of_unity(n)
+            assert z**n == 1
+            assert all(z**d != 1 for d in divisors(n) if d < n)
 
 
 class TestMPoly:
