@@ -165,7 +165,11 @@ def mult_on_curve(f: PlaneEndo, g: MPoly) -> int:
 
 
 def check_critical_chain(f1: PlaneEndo, f2: PlaneEndo) -> bool:
-    """Set-level identity between the two critical pullback chains."""
+    """f2^-1(C_f1) u C_f2 = f1^-1(C_f2) u C_f1, as d2 * (d1 o f2) ==
+    d1 * (d2 o f1) on the Jacobian determinants d1, d2.  By the chain rule
+    both products are J(f1 o f2) = J(f2 o f1) once `commutes` has passed:
+    equal with multiplicities, so with equal squarefree parts, and true on
+    every pair that meets the precondition."""
     if not commutes(f1, f2):
         raise PreconditionViolated("maps must commute")
     if f1.degree < 2 or f2.degree < 2:
@@ -173,9 +177,7 @@ def check_critical_chain(f1: PlaneEndo, f2: PlaneEndo) -> bool:
     d1, d2 = f1.jacobian_det(), f2.jacobian_det()
     b2 = {"z1": f2.comp1, "z2": f2.comp2}
     b1 = {"z1": f1.comp1, "z2": f1.comp2}
-    left = squarefree_part(d2 * d1.substitute(b2))
-    right = squarefree_part(d1 * d2.substitute(b1))
-    return left == right
+    return d2 * d1.substitute(b2) == d1 * d2.substitute(b1)
 
 
 def is_invariant_curve(f: PlaneEndo, g: MPoly) -> bool:
@@ -253,7 +255,9 @@ def image_curve(f: PlaneEndo, g: MPoly) -> MPoly:
                 kept = kept * h_z
         if kept.is_constant():
             continue
-        return squarefree_part(kept).monic()
+        # distinct factors of one squarefree decomposition: monic,
+        # squarefree and pairwise coprime, so their product is squarefree
+        return kept.monic()
     raise EliminationDegenerate("no shear candidate made the elimination regular")
 
 

@@ -87,17 +87,18 @@ def dense_mul(a: list, b: list) -> list:
 
 
 def dense_divmod(a: list, b: list):
-    """(quotient, remainder) of a by the nonzero b, both trimmed."""
+    """(quotient, remainder) of a by the nonzero b, both trimmed; a monic
+    b takes each quotient entry as it stands, with no division."""
     a, b = _trim(a), _trim(b)
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
     db = len(b) - 1
     if len(a) <= db:
         return [], a
-    inv = 1 / b[-1]
+    inv = None if b[-1] == 1 else 1 / b[-1]
     quot = [None] * (len(a) - db)
     for i in range(len(quot) - 1, -1, -1):
-        c = a[i + db] * inv
+        c = a[i + db] if inv is None else a[i + db] * inv
         quot[i] = c
         if c:
             for j in range(db):

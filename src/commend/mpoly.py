@@ -488,11 +488,35 @@ def _content(coeffs: list[MPoly]) -> MPoly:
     return g
 
 
+def _subresultant_prs(a: list[MPoly], b: list[MPoly]):
+    """The subresultant PRS (Collins 1967; Brown-Traub 1971) of coefficient
+    lists with deg a >= deg b >= 1: each pseudo-remainder divided exactly
+    by g h^delta, g the last member's leading coefficient, h its scale.
+
+    Returns (last, nxt, h, sign): the last member of positive degree; the
+    next one, [] when a and b share a factor and a constant list otherwise;
+    h after the last step; (-1)^(steps where both degrees are odd).
+    """
+    g, h, sign = MPoly.one(), MPoly.one(), 1
+    while True:
+        delta = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
+            sign = -sign
+        rem = _pseudo_remainder(a, b)
+        divisor = g * h**delta
+        a, b = b, [c.exact_divide(divisor) for c in rem]
+        g = a[-1]
+        h = h if delta == 0 else (g**delta).exact_divide(h**(delta - 1)) \
+            if delta > 1 else g
+        if len(b) <= 1:
+            return a, b, h, sign
+
+
 def gcd_poly(a: MPoly, b: MPoly) -> MPoly:
     """The gcd, graded-lex-monic normalized.
 
     Polynomials in one shared variable go through the dense Euclid
-    (`dense_gcd`); otherwise the subresultant PRS in the first variable,
+    (`dense_gcd`); otherwise `_subresultant_prs` in the first variable,
     whose contents recurse down to that univariate base case.
     """
     if a.is_zero() and b.is_zero():
@@ -522,25 +546,11 @@ def gcd_poly(a: MPoly, b: MPoly) -> MPoly:
     cont = gcd_poly(ca, cb)
     if len(pa) < len(pb):
         pa, pb = pb, pa
-    # subresultant PRS
-    g, h = MPoly.one(), MPoly.one()
-    while True:
-        delta = len(pa) - len(pb)
-        rem = _pseudo_remainder(pa, pb)
-        if not rem:
-            break
-        if len(rem) == 1:
-            pb = [MPoly.one()]
-            break
-        divisor = g * h**delta
-        pa, pb = pb, [c.exact_divide(divisor) for c in rem]
-        g = pa[-1]
-        h = h if delta == 0 else (g**delta).exact_divide(h**(delta - 1)) \
-            if delta > 1 else g
-    if len(pb) == 1:
+    last, nxt, _h, _sign = _subresultant_prs(pa, pb)
+    if nxt:
         return cont.monic()
-    cpb = _content(pb)
-    prim = [c.exact_divide(cpb) for c in pb]
+    clast = _content(last)
+    prim = [c.exact_divide(clast) for c in last]
     result = MPoly.from_univariate([cont * c for c in prim], name)
     return result.monic()
 
@@ -603,51 +613,26 @@ def squarefree_part(p: MPoly) -> MPoly:
 
 
 def resultant(a: MPoly, b: MPoly, name: str) -> MPoly:
-    """Sylvester resultant in `name`, exact via fraction-free elimination."""
+    """Sylvester resultant in `name`, from the subresultant PRS (Cohen, A
+    Course in Computational Algebraic Number Theory, Alg. 3.3.7): with
+    deg a >= deg b >= 1 (else swapped, at the sign (-1)^(mn)) it ends on a
+    member of degree d and a next member [r0], or [] for a resultant 0;
+    the resultant is sign * r0^d / h^(d-1)."""
     if a.is_zero() and b.is_zero():
         raise BothZero("resultant of two zero polynomials")
     if a.is_zero() or b.is_zero():
         return MPoly.zero()
     m, n = a.degree_in(name), b.degree_in(name)
-    if m == 0 and n == 0:
-        return MPoly.one()
-    if m == 0:
-        return a**n
-    if n == 0:
-        return b**m
-    ua = a.univariate_in(name)
-    ub = b.univariate_in(name)
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [MPoly.zero()] * size
-        for j, c in enumerate(ua):
-            row[i + (m - j)] = c
-        rows.append(row)
-    for i in range(m):
-        row = [MPoly.zero()] * size
-        for j, c in enumerate(ub):
-            row[i + (n - j)] = c
-        rows.append(row)
-    # Bareiss fraction-free determinant
-    sign = 1
-    prev = MPoly.one()
-    for k in range(size - 1):
-        if rows[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, size)
-                          if not rows[i][k].is_zero()), None)
-            if pivot is None:
-                return MPoly.zero()
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
-                rows[i][j] = num.exact_divide(prev)
-            rows[i][k] = MPoly.zero()
-        prev = rows[k][k]
-    det = rows[size - 1][size - 1]
-    return det if sign == 1 else -det
+    if m == 0 or n == 0:
+        return a**n * b**m
+    ua, ub = a.univariate_in(name), b.univariate_in(name)
+    swap = -1 if m < n and m * n % 2 else 1
+    last, nxt, h, sign = _subresultant_prs(*((ua, ub) if m >= n else (ub, ua)))
+    if not nxt:
+        return MPoly.zero()
+    d = len(last) - 1
+    res = (nxt[0]**d).exact_divide(h**(d - 1))
+    return res if sign * swap == 1 else -res
 
 
 def binary_form_resultant(f: MPoly, g: MPoly, uname: str, vname: str,

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from commend.cli import main
-from commend.errors import (NotASquare, NotDivisible, ParseError,
+from commend.errors import (BothZero, NotASquare, NotDivisible, ParseError,
                             UnknownVariable)
 from commend.field import (Coefficient, _solve_linear, cyclotomic_coeffs,
                            dense_divmod, dense_inverse_mod, dense_mul,
@@ -411,6 +411,103 @@ def repeated_factors(draw, order):
     return p.dense_in("x")
 
 
+def sylvester_resultant(a, b, name):
+    """Oracle: the determinant of the Sylvester matrix of a and b in `name`,
+    by fraction-free (Bareiss) elimination over MPoly entries."""
+    m, n = a.degree_in(name), b.degree_in(name)
+    if m == 0 or n == 0:
+        return a**n * b**m
+    ua, ub = a.univariate_in(name), b.univariate_in(name)
+    size = m + n
+    rows = []
+    for shifts, coeffs, deg in ((n, ua, m), (m, ub, n)):
+        for i in range(shifts):
+            row = [MPoly.zero()] * size
+            for j, c in enumerate(coeffs):
+                row[i + (deg - j)] = c
+            rows.append(row)
+    sign, prev = 1, MPoly.one()
+    for k in range(size - 1):
+        if rows[k][k].is_zero():
+            pivot = next((i for i in range(k + 1, size)
+                          if not rows[i][k].is_zero()), None)
+            if pivot is None:
+                return MPoly.zero()
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                num = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
+                rows[i][j] = num.exact_divide(prev)
+            rows[i][k] = MPoly.zero()
+        prev = rows[k][k]
+    det = rows[size - 1][size - 1]
+    return det if sign == 1 else -det
+
+
+@st.composite
+def poly_in(draw, order, name, others, min_degree=0, max_degree=5):
+    """A polynomial of degree min_degree..max_degree in `name` whose
+    coefficients are sparse, of degree at most one in each of `others`."""
+    d = draw(st.integers(min_degree, max_degree))
+    out = MPoly.zero()
+    for k in range(d + 1):
+        coeff = MPoly.constant(draw(field_elements(order)))
+        for v in others:
+            if draw(st.booleans()):
+                coeff = coeff + MPoly.var(v).scale(draw(field_elements(order)))
+        if k == d and coeff.is_zero():
+            coeff = MPoly.one()
+        out = out + coeff * MPoly.var(name, k)
+    return out
+
+
+class TestResultant:
+    @given(st.sampled_from([1, 3]), st.integers(1, 3), st.booleans(),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_resultant_matches_sylvester_determinant(self, order, nvars,
+                                                     common, data):
+        variables = ["x", "y", "t"][:nvars]
+        name = data.draw(st.sampled_from(variables))
+        others = [v for v in variables if v != name]
+        # degrees 0..5 in `name` (0..3 in three variables, where the
+        # oracle's determinants grow fastest), a common factor included
+        top = (5 if nvars < 3 else 3) - common
+        a = data.draw(poly_in(order, name, others, 0, top))
+        b = data.draw(poly_in(order, name, others, 0, top))
+        if common:
+            c = data.draw(poly_in(order, name, others[:1], 1, 1))
+            a, b = a * c, b * c
+        m, n = a.degree_in(name), b.degree_in(name)
+        want = sylvester_resultant(a, b, name)
+        assert resultant(a, b, name) == want
+        assert resultant(b, a, name) == (want if m * n % 2 == 0 else -want)
+        if common:
+            assert want.is_zero()
+
+    def test_degree_zero_and_zero_inputs(self):
+        a, b = X**2 + Y, Y.scale(3) + MPoly.one()
+        assert resultant(a, b, "x") == b**2
+        assert resultant(b, a, "x") == b**2
+        assert resultant(b, b, "x") == MPoly.one()
+        assert resultant(a, MPoly.zero(), "x").is_zero()
+        with pytest.raises(BothZero):
+            resultant(MPoly.zero(), MPoly.zero(), "x")
+
+    @given(st.sampled_from([1, 3]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_bivariate_gcd_recovers_common_factor(self, order, data):
+        g = data.draw(poly_in(order, "x", ["y"], 1, 2))
+        a = data.draw(poly_in(order, "x", ["y"], 0, 3))
+        b = data.draw(poly_in(order, "x", ["y"], 0, 3))
+        assume(not a.is_zero() and not b.is_zero())
+        # a and b share no factor of positive degree in x or in y
+        assume(not sylvester_resultant(a, b, "x").is_zero())
+        assume(not sylvester_resultant(a, b, "y").is_zero())
+        assert gcd_poly(a * g, b * g) == g.monic()
+
+
 class TestDenseKernel:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -428,6 +525,22 @@ class TestDenseKernel:
         assert got == want
         assert all(type(c) is Coefficient for c in _entries(list(want.values())))
         assert all(type(c) is Fraction for c in _entries(list(got.values())))
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_monic_divisor_keeps_the_entry_type(self, data):
+        # a monic divisor skips the division by its leading coefficient:
+        # Fractions stay Fractions and Coefficients stay Coefficients
+        a = data.draw(univariate(1, max_degree=5)).dense_in("x")
+        b = data.draw(univariate(1, min_degree=1, max_degree=3)).monic()
+        b = b.dense_in("x")
+        fa, fb = kernel_lists(a, b)
+        quot, rem = dense_divmod(fa, fb)
+        assert all(type(c) is Fraction for c in quot + rem)
+        assert (quot, rem) == tuple(kernel_lists(*dense_divmod(a, b)))
+        assert all(type(c) is Coefficient for c in _entries(dense_divmod(a, b)))
+        assert (from_dense(quot, "x") * from_dense(fb, "x")
+                + from_dense(rem, "x")) == from_dense(fa, "x")
 
     @given(st.sampled_from([1, 3]), st.data())
     @settings(max_examples=25, deadline=None)

@@ -11,8 +11,10 @@ from commend.endo2 import (PlaneEndo, check_critical_chain, commutes, compose,
                            mult_on_curve, ramified_square_invariance,
                            restrict_infinity)
 from commend.errors import DegreeLimitExceeded, NotExtendable
+from commend.families import chebyshev, ex1, ex2, ex3_lift, ex4_descend
 from commend.mpoly import MPoly
 from commend.parse import parse_map_pair, parse_poly
+from commend.rat1 import RatMap1
 
 
 def endo(text):
@@ -92,6 +94,24 @@ class TestCriticalData:
     def test_chain_identity(self):
         assert check_critical_chain(DESC2, DESC3)
         assert check_critical_chain(POW2, endo("(z1^3, z2^3)"))
+
+    def test_chain_products_are_the_jacobian_of_the_composite(self):
+        # the pairs of acceptance criterion 04: both products of the chain
+        # check are J(f1 o f2) = J(f2 o f1), by the chain rule
+        x = MPoly.var("x")
+        pairs = [ex1(2, 3, 1), (ex2(2, "straight"), ex2(3, "straight")),
+                 ex3_lift(RatMap1(parse_poly("s^2"), parse_poly("t^2")),
+                          RatMap1(parse_poly("s^3"), parse_poly("t^3"))),
+                 (ex4_descend(x**2), ex4_descend(x**3)),
+                 (ex4_descend(chebyshev(2, "monic")),
+                  ex4_descend(chebyshev(3, "monic"))),
+                 (ex4_descend(x**3), ex4_descend(x**4))]
+        for f1, f2 in pairs:
+            d1, d2 = f1.jacobian_det(), f2.jacobian_det()
+            jac = compose(f1, f2).jacobian_det()
+            assert d2 * d1.substitute({"z1": f2.comp1, "z2": f2.comp2}) == jac
+            assert d1 * d2.substitute({"z1": f1.comp1, "z2": f1.comp2}) == jac
+            assert check_critical_chain(f1, f2)
 
 
 class TestInvariance:

@@ -1,6 +1,6 @@
 """Golden stdout reports: the README commands, `classify` on the forty
-criterion-10 pairs and the P^1 commands below, run in-process through
-`cli.main`.
+criterion-10 pairs, the P^1 commands and the critical-curve commands below,
+run in-process through `cli.main`.
 
 `tests/data/reports.txt` holds, for each command, a `$ commend ...` line and
 the exact stdout bytes of the report.  Regenerate it (only when a report is
@@ -116,11 +116,46 @@ def criterion_10_pairs():
     return pairs
 
 
+def critical_layer_pairs():
+    """One pair of each family, moved by an affine conjugation with a
+    translation, for the critical-curve commands."""
+    base = [ex1(2, 3, 1),
+            (ex2(2, "straight"), ex2(3, "straight")),
+            ex3_lift(_power_line_map(2), _power_line_map(3)),
+            (ex4_descend(MPoly.var("x")**2), ex4_descend(MPoly.var("x")**3)),
+            (ex4_descend(chebyshev(2, "monic")),
+             ex4_descend(chebyshev(3, "monic")))]
+    conjs = [AffineConj.diagonal(1, -1, (1, 0)),
+             AffineConj.antidiagonal(2, 1, (0, -1)),
+             AffineConj.diagonal(-1, 2, (1, 1)),
+             AffineConj.antidiagonal(2, 1, (0, -1)),
+             AffineConj.antidiagonal(2, 1, (0, -1))]
+    return [(affine_conjugate(f1, s), affine_conjugate(f2, s))
+            for (f1, f2), s in zip(base, conjs)]
+
+
+def critical_layer_commands():
+    """chain-check, critical-orbit, image-curve, invariant-lines and
+    critical on each pair of `critical_layer_pairs`."""
+    out = []
+    for f1, f2 in critical_layer_pairs():
+        f = f"({f1.comp1}, {f1.comp2})"
+        g = f"({f2.comp1}, {f2.comp2})"
+        out += [["chain-check", "--f", f, "--g", g],
+                ["critical-orbit", "--f", f, "--g", g],
+                ["image-curve", "--f", f, "--curve", "z1 + 2*z2 - 1"],
+                ["image-curve", "--f", g, "--curve", "z1 - z2 + 1"],
+                ["invariant-lines", "--f", f],
+                ["critical", "--f", g]]
+    return out
+
+
 def golden_commands():
     classify = [["classify", "--f", f"({f1.comp1}, {f1.comp2})",
                  "--g", f"({f2.comp1}, {f2.comp2})"]
                 for f1, f2 in criterion_10_pairs()]
-    return README_COMMANDS + classify + P1_COMMANDS
+    return (README_COMMANDS + classify + P1_COMMANDS
+            + critical_layer_commands())
 
 
 def render_reports() -> str:
