@@ -9,16 +9,19 @@ finiteness of the critical components, and invariant affine lines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cache
+from itertools import product as iproduct
+from math import prod
 
-from .errors import (DegreeLimitExceeded, EliminationDegenerate, NotDivisible,
-                     NotExtendable, PreconditionViolated, ZeroJacobian)
+from .errors import (DegreeLimitExceeded, NotDivisible, NotExtendable,
+                     PreconditionViolated, ZeroJacobian)
 from .field import Coefficient
-from .mpoly import (MPoly, forms_share_zero, gcd_poly, rational_roots,
-                    resultant, squarefree_decompose, squarefree_part)
+from .mpoly import (MPoly, forms_share_zero, gcd_poly, kernel_lists,
+                    rational_roots, resultant, squarefree_decompose,
+                    squarefree_part)
 
 DEFAULT_DEGREE_CAP = 512
-
-SHEAR_CANDIDATES = (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8)
 
 
 class PlaneEndo:
@@ -222,50 +225,83 @@ def _shear(poly: MPoly, tau) -> MPoly:
 
 
 def image_curve(f: PlaneEndo, g: MPoly) -> MPoly:
-    """Squarefree polynomial cutting out the closure of f({g = 0})."""
+    """Squarefree polynomial H cutting out the closure of f({g = 0}).
+
+    f extends to P^2, so f*O(1) = O(d) and deg H * deg(f|C) = d * deg C:
+    deg H <= d * deg g.  For g squarefree, g | P(f1, f2) exactly when H | P,
+    so the remainders of the f1^i f2^j modulo g, taken by total degree
+    i + j = 0, 1, ..., are first linearly dependent at i + j = deg H, where
+    the relations among the monomials of degree <= deg H are the multiples
+    c * H: the first relation found is H.  Remainders come from division in
+    one variable, in which g needs a constant leading coefficient: in z2 or
+    in z1 as g stands, else in z2 after a shear z1 -> z1 + tau * z2.  The top
+    form of g vanishes at (tau, 1) for at most deg g values of tau, so one of
+    tau = 0, ..., deg g serves.
+    """
     g = MPoly.coerce(g)
     if g.is_constant():
         raise PreconditionViolated("curve polynomial must be nonconstant")
+    if set(g.vars) - {"z1", "z2"}:
+        raise PreconditionViolated(f"curve must live in z1, z2 (got {g.vars})")
     if not extends_to_p2(f):
         raise NotExtendable("image_curve requires extension to P2")
     g_red = squarefree_part(g)
-    y1, y2 = MPoly.var("y1"), MPoly.var("y2")
-    for tau in SHEAR_CANDIDATES:
-        gs = _shear(g_red, tau)
-        c1, c2 = _shear(f.comp1, tau), _shear(f.comp2, tau)
-        first, second = ("z1", "z2") if gs.depends_on("z1") else ("z2", "z1")
-        r1 = resultant(gs, y1 - c1, first)
-        r2 = resultant(gs, y2 - c2, first)
-        if r1.is_zero() or r2.is_zero():
-            continue
-        if r1.depends_on(second) or r2.depends_on(second):
-            rr = resultant(r1, r2, second)
-        else:
-            rr = r1 * r2
-        if rr.is_zero() or rr.is_constant():
-            continue
-        candidate = squarefree_part(rr)
-        back = {"y1": MPoly.var("z1"), "y2": MPoly.var("z2")}
-        _unit, factors = squarefree_decompose(candidate)
-        kept = MPoly.one()
-        for h, _m in factors:
-            h_z = h.substitute(back)
-            pulled = h_z.substitute({"z1": f.comp1, "z2": f.comp2})
-            if g_red.divides(pulled):
-                kept = kept * h_z
-        if kept.is_constant():
-            continue
-        # distinct factors of one squarefree decomposition: monic,
-        # squarefree and pairwise coprime, so their product is squarefree
-        return kept.monic()
-    raise EliminationDegenerate("no shear candidate made the elimination regular")
+    n = g_red.total_degree()
+    # remainders by division in plane[1], where g has a constant leading
+    # coefficient
+    shears = [(("z1", "z2"), 0), (("z2", "z1"), 0)] + [
+        (("z1", "z2"), tau) for tau in range(1, n + 1)]
+    plane, tau = next((p, t) for p, t in shears
+                      if _shear(g_red, t).degree_in(p[1]) == n)
+    polys = (_shear(g_red, tau), _shear(f.comp1, tau), _shear(f.comp2, tau))
+    [one], *values = kernel_lists([Coefficient.one()],
+                                  *(list(p.terms.values()) for p in polys))
+    gd, c1, c2 = (dict(zip(p._embed(plane), v)) for p, v in zip(polys, values))
+    lead = gd.pop((0, n))
+    top = {e: -c / lead for e, c in gd.items()}  # plane[1]^n modulo g
+
+    def times(r: dict, c: dict) -> dict:
+        """r * c modulo g, keyed by exponents in `plane`, the second below n."""
+        out = {}
+        for (a1, b1), x in r.items():
+            for (a2, b2), y in c.items():
+                out[a1 + a2, b1 + b2] = out.get((a1 + a2, b1 + b2), 0) + x * y
+        for b in range(max(e[1] for e in out), n - 1, -1):
+            for (a1, b1), x in [(e, x) for e, x in out.items() if e[1] == b]:
+                del out[a1, b1]
+                for (a2, b2), y in top.items():
+                    e = (a1 + a2, b1 - n + b2)
+                    out[e] = out.get(e, 0) + x * y
+        return {e: x for e, x in out.items() if x}
+
+    # each row holds a remainder and, under keys (-1, i, j) that sort below
+    # the remainder's, the combination of monomials y1^i y2^j it came from;
+    # a row whose remainder part cancels is a relation
+    rems = {(0, 0): {(0, 0): one}}
+    pivots = {}  # leading key -> row with 1 there
+    for total in range(f.degree * n + 1):
+        for i in range(total, -1, -1):
+            j = total - i
+            if total:
+                rems[i, j] = (times(rems[i - 1, j], c1) if i
+                              else times(rems[0, j - 1], c2))
+            row = {**rems[i, j], (-1, i, j): one}
+            while (pos := max(row)) in pivots:
+                c = row[pos]
+                for e, x in pivots[pos].items():
+                    row[e] = row.get(e, 0) - c * x
+                row = {e: x for e, x in row.items() if x}
+            if pos[0] == -1:
+                return MPoly.make(("z1", "z2"), {
+                    e[1:]: x for e, x in row.items()}).monic()
+            inv = 1 / row[pos]
+            pivots[pos] = {e: x * inv for e, x in row.items()}
+    raise AssertionError("image_curve: no relation within the degree bound")
 
 
 def _graph_candidates(g: MPoly, xvar: str, yvar: str, max_deg: int):
     """Candidate factors yvar - q(xvar) with deg q <= max_deg, found by
     sampling fibers and interpolating; callers must verify divisibility."""
-    from fractions import Fraction
-    from itertools import product as iproduct
     samples = [0, 1, -1, 2, -2, 3][: max_deg + 1]
     root_sets = []
     for a in samples:
@@ -276,23 +312,26 @@ def _graph_candidates(g: MPoly, xvar: str, yvar: str, max_deg: int):
         if not roots:
             return
         root_sets.append(roots)
-    total = 1
-    for rs in root_sets:
-        total *= len(rs)
-    if total > 4096:
+    if prod(map(len, root_sets)) > 4096:
         return
-    x = MPoly.var(xvar)
+    basis = _lagrange_basis(xvar, tuple(samples))
+    y = MPoly.var(yvar)
     for combo in iproduct(*root_sets):
-        # Lagrange interpolation through (samples[i], combo[i])
-        q = MPoly.zero()
-        for i, (a, v) in enumerate(zip(samples, combo)):
-            basis = MPoly.constant(Fraction(v))
-            for j, b in enumerate(samples):
-                if j != i:
-                    basis = basis * (x - MPoly.constant(b)).scale(
-                        Fraction(1, a - b))
-            q = q + basis
-        yield MPoly.var(yvar) - q
+        yield MPoly._sum([y, *(b.scale(-v) for b, v in zip(basis, combo))])
+
+
+@cache
+def _lagrange_basis(xvar: str, samples: tuple) -> tuple:
+    """The polynomials in xvar that are 1 at one sample and 0 at the others."""
+    x = MPoly.var(xvar)
+    basis = []
+    for i, a in enumerate(samples):
+        b_i = MPoly.one()
+        for j, b in enumerate(samples):
+            if j != i:
+                b_i = b_i * (x - MPoly.constant(b)).scale(Fraction(1, a - b))
+        basis.append(b_i)
+    return tuple(basis)
 
 
 def split_graph_components(g: MPoly, max_deg: int = 3):
@@ -342,8 +381,8 @@ def critical_orbit_finite(f1: PlaneEndo, f2: PlaneEndo, bound: int = 6) -> Orbit
     comp_set = []
     for f in (f1, f2):
         for p, _m in critical_divisor(f).parts:
-            # reducible squarefree parts make the elimination needlessly
-            # expensive: peel off graph-shaped components first
+            # the report has one entry per piece: peel graph-shaped
+            # components off each reducible squarefree part
             for piece in split_graph_components(p):
                 if piece not in comp_set:
                     comp_set.append(piece)

@@ -29,10 +29,6 @@ class NotExtendable(CommendError):
     """The map does not extend to the projective plane."""
 
 
-class EliminationDegenerate(CommendError):
-    """No shear in the candidate list makes the elimination regular."""
-
-
 class NotIsolated(CommendError):
     """The origin is not an isolated common zero for any candidate shear."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .endo2 import SHEAR_CANDIDATES, PlaneEndo
+from .endo2 import PlaneEndo
 from .errors import (CommutationFails, NoCaseMatch, NotIsolated,
                      PreconditionViolated, ShapeMismatch)
 from .families import chebyshev_conjugacies, depression_shift
@@ -19,6 +19,8 @@ from .mpoly import (MPoly, gcd_poly, resultant, session_order,
                     squarefree_decompose)
 
 Z1, Z2 = MPoly.var("z1"), MPoly.var("z2")
+
+SHEAR_CANDIDATES = (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8)
 
 
 def _to_plane(g: MPoly) -> MPoly:

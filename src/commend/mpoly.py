@@ -242,26 +242,14 @@ class MPoly:
     def substitute(self, bindings: dict) -> "MPoly":
         """Replace variables by polynomials (or coefficients); others stay fixed."""
         bound = {k: MPoly.coerce(v) for k, v in bindings.items()}
-        cache = {}
-
-        def power(name, exp):
-            key = (name, exp)
-            if key not in cache:
-                if exp == 0:
-                    cache[key] = MPoly.one()
-                elif exp == 1:
-                    cache[key] = bound.get(name, MPoly.var(name))
-                else:
-                    half = power(name, exp // 2)
-                    cache[key] = half * half * power(name, exp % 2) \
-                        if exp % 2 else half * half
-            return cache[key]
+        powers = {name: {1: bound.get(name, MPoly.var(name))}
+                  for name in self.vars}
 
         def term(e, c):
             t = MPoly.constant(c)
             for name, exp in zip(self.vars, e):
                 if exp:
-                    t = t * power(name, exp)
+                    t = t * _power(powers[name], exp)
             return t
 
         return MPoly._sum(term(e, c) for e, c in self.terms.items())
@@ -366,6 +354,16 @@ class MPoly:
     def __str__(self):
         from .render import render_poly
         return render_poly(self)
+
+
+def _power(cache: dict, exp: int) -> MPoly:
+    """cache[exp] = cache[1]^exp by squaring, memoised in cache.  A module
+    function, not a self-recursive closure: such a closure is a reference
+    cycle that keeps every cached power alive until the cyclic collector runs."""
+    if exp not in cache:
+        half = _power(cache, exp // 2)
+        cache[exp] = half * half * cache[1] if exp % 2 else half * half
+    return cache[exp]
 
 
 def session_order(*polys: MPoly) -> int:
@@ -605,6 +603,8 @@ def squarefree_decompose(p: MPoly):
 
 
 def squarefree_part(p: MPoly) -> MPoly:
+    if p.total_degree() == 1:
+        return p.monic()
     _, factors = squarefree_decompose(p)
     out = MPoly.one()
     for f, _m in factors:

@@ -1,18 +1,21 @@
 """Plane polynomial maps: composition, extension, critical data, invariance."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from commend.endo2 import (PlaneEndo, check_critical_chain, commutes, compose,
-                           critical_divisor, critical_orbit_finite,
+from commend.endo2 import (PlaneEndo, _shear, check_critical_chain, commutes,
+                           compose, critical_divisor, critical_orbit_finite,
                            extends_to_p2, image_curve, invariant_lines,
                            is_invariant_curve, is_totally_invariant, iterate,
                            mult_on_curve, ramified_square_invariance,
                            restrict_infinity)
-from commend.errors import DegreeLimitExceeded, NotExtendable
+from commend.errors import (DegreeLimitExceeded, NotExtendable,
+                             PreconditionViolated)
 from commend.families import chebyshev, ex1, ex2, ex3_lift, ex4_descend
-from commend.mpoly import MPoly
+from commend.field import Coefficient
+from commend.mpoly import (MPoly, resultant, squarefree_decompose,
+                           squarefree_part)
 from commend.parse import parse_map_pair, parse_poly
 from commend.rat1 import RatMap1
 
@@ -151,6 +154,37 @@ class TestInvariance:
         assert image_curve(f, MPoly.var("z2")).monic() == parse_poly(
             "z2^2 - z1")
 
+    def test_image_curve_baseline_has_the_degree_bound(self):
+        # deg f(C) <= d * deg C = 4; the double elimination gave degree 8
+        f = endo("(z1^2 + z1 - z2 - 2, -z1*z2 + z2^2 - z1 + 2*z2)")
+        g = parse_poly("9*z1^2 + 3*z1*z2 + 3*z1 + z2")
+        h = image_curve(f, g)
+        assert h.total_degree() == 4
+        assert g.divides(h.substitute({"z1": f.comp1, "z2": f.comp2}))
+
+    def test_image_curve_of_a_conic_has_degree_four(self):
+        f = endo("(2*z1^2 - 3*z1*z2 - z2^2 + 2*z1 + 3, "
+                 "3*z1^2 + z1*z2 - 2*z1 + 2*z2 + 2)")
+        g = parse_poly("z1^2 - z1*z2 + 2*z2^2 + z2 + 1")
+        h = image_curve(f, g)
+        assert h.total_degree() == 4
+        assert g.divides(h.substitute({"z1": f.comp1, "z2": f.comp2}))
+
+    def test_image_curve_of_two_lines_is_the_product_of_their_images(self):
+        # no shear made the double elimination regular on this curve
+        f = endo("(z1^2 + z1*z2 - 3*z2^2 + z1 - 3*z2 + 2, "
+                 "-z1^2 - 3*z1*z2 + 3*z2^2 - 2*z2 + 1)")
+        g = parse_poly("z1*z2 + z2^2 - z1 - 3*z2 + 2")
+        a, b = parse_poly("z2 - 1"), parse_poly("z1 + z2 - 2")
+        assert a * b == g
+        assert image_curve(f, g) == (image_curve(f, a)
+                                     * image_curve(f, b)).monic()
+        assert image_curve(f, g).total_degree() == 4
+
+    def test_image_curve_rejects_other_variables(self):
+        with pytest.raises(PreconditionViolated):
+            image_curve(POW2, parse_poly("x + 1"))
+
     def test_critical_orbit_finite(self):
         report = critical_orbit_finite(DESC2, DESC3)
         assert report.resolved
@@ -168,3 +202,83 @@ class TestInvariance:
         rep = invariant_lines(POW2)
         found = {str(line): tot for line, tot in rep.affine_lines}
         assert found.get("z1") is True and found.get("z2") is True
+
+
+def _eliminated_image(f, g):
+    """The image curve by the double elimination `image_curve` once used: a
+    multiple of the image (it can carry spurious factors), or None when no
+    shear makes the elimination regular."""
+    g_red = squarefree_part(g)
+    y1, y2 = MPoly.var("y1"), MPoly.var("y2")
+    for tau in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8):
+        gs = _shear(g_red, tau)
+        c1, c2 = _shear(f.comp1, tau), _shear(f.comp2, tau)
+        first, second = ("z1", "z2") if gs.depends_on("z1") else ("z2", "z1")
+        r1 = resultant(gs, y1 - c1, first)
+        r2 = resultant(gs, y2 - c2, first)
+        if r1.is_zero() or r2.is_zero():
+            continue
+        if r1.depends_on(second) or r2.depends_on(second):
+            rr = resultant(r1, r2, second)
+        else:
+            rr = r1 * r2
+        if rr.is_zero() or rr.is_constant():
+            continue
+        back = {"y1": MPoly.var("z1"), "y2": MPoly.var("z2")}
+        kept = MPoly.one()
+        for h, _m in squarefree_decompose(squarefree_part(rr))[1]:
+            h_z = h.substitute(back)
+            if g_red.divides(h_z.substitute({"z1": f.comp1, "z2": f.comp2})):
+                kept = kept * h_z
+        if not kept.is_constant():
+            return kept.monic()
+    return None
+
+
+@st.composite
+def _field_poly(draw, order, degree):
+    """A polynomial in z1, z2 of total degree <= degree over Q(zeta_order),
+    coefficients a + b*w with small a, b."""
+    w = Coefficient.root_of_unity(order) if order > 1 else Coefficient.zero()
+    terms = {}
+    for k in range(degree + 1):
+        for i in range(k + 1):
+            a = draw(st.integers(-2, 2))
+            b = draw(st.integers(-1, 1)) if order > 1 else 0
+            terms[(i, k - i)] = Coefficient.coerce(a) + w * b
+    return MPoly.make(("z1", "z2"), terms)
+
+
+@st.composite
+def _map_and_curve(draw):
+    order = draw(st.sampled_from([1, 3]))
+    d = draw(st.sampled_from([2, 3]))
+    p1, p2 = draw(_field_poly(order, d)), draw(_field_poly(order, d))
+    assume(not p1.is_zero() and not p2.is_zero())
+    f = PlaneEndo(p1, p2)
+    assume(f.degree == d and extends_to_p2(f))
+    # a conic under a cubic map over Q(zeta_3) costs seconds in the checks
+    # below (H o f has degree 18 there), so that corner draws lines only
+    k = draw(st.sampled_from([1] if (order, d) == (3, 3) else [1, 2]))
+    g = draw(_field_poly(order, k))
+    assume(g.total_degree() == k)
+    return f, g
+
+
+@given(_map_and_curve())
+@settings(max_examples=30, deadline=None)
+def test_image_curve_is_the_image(case):
+    f, g = case
+    h = image_curve(f, g)
+    d, k = f.degree, g.total_degree()
+    assert squarefree_part(g).divides(
+        h.substitute({"z1": f.comp1, "z2": f.comp2}))
+    # f extends to P^2: deg f(C) * deg(f|C) = d * deg C
+    assert 1 <= h.total_degree() <= d * k
+    assert squarefree_part(h) == h
+    if k == 1:
+        # a line is irreducible, so deg(f|C) is an integer
+        assert (d * k) % h.total_degree() == 0
+        old = _eliminated_image(f, g)
+        assume(old is not None)
+        assert h.divides(old)

@@ -1,6 +1,7 @@
 """Golden stdout reports: the README commands, `classify` on the forty
-criterion-10 pairs, the P^1 commands and the critical-curve commands below,
-run in-process through `cli.main`.
+criterion-10 pairs, the P^1 commands, the critical-curve commands and the
+image curves of maps outside the families below, run in-process through
+`cli.main`.
 
 `tests/data/reports.txt` holds, for each command, a `$ commend ...` line and
 the exact stdout bytes of the report.  Regenerate it (only when a report is
@@ -150,12 +151,27 @@ def critical_layer_commands():
     return out
 
 
+# image-curve on maps outside the families: two curves whose image has the
+# degree d * deg C = 4 (the double elimination once returned degree 8), and
+# the two lines (z2 - 1)(z1 + z2 - 2), where no shear made it regular
+IMAGE_CURVE_COMMANDS = [
+    ["image-curve", "--f", "(z1^2 + z1 - z2 - 2, -z1*z2 + z2^2 - z1 + 2*z2)",
+     "--curve", "9*z1^2 + 3*z1*z2 + 3*z1 + z2"],
+    ["image-curve", "--f", "(2*z1^2 - 3*z1*z2 - z2^2 + 2*z1 + 3, "
+     "3*z1^2 + z1*z2 - 2*z1 + 2*z2 + 2)",
+     "--curve", "z1^2 - z1*z2 + 2*z2^2 + z2 + 1"],
+    ["image-curve", "--f", "(z1^2 + z1*z2 - 3*z2^2 + z1 - 3*z2 + 2, "
+     "-z1^2 - 3*z1*z2 + 3*z2^2 - 2*z2 + 1)",
+     "--curve", "z1*z2 + z2^2 - z1 - 3*z2 + 2"],
+]
+
+
 def golden_commands():
     classify = [["classify", "--f", f"({f1.comp1}, {f1.comp2})",
                  "--g", f"({f2.comp1}, {f2.comp2})"]
                 for f1, f2 in criterion_10_pairs()]
     return (README_COMMANDS + classify + P1_COMMANDS
-            + critical_layer_commands())
+            + critical_layer_commands() + IMAGE_CURVE_COMMANDS)
 
 
 def render_reports() -> str:
