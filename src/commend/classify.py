@@ -8,6 +8,8 @@ normal form exactly for both maps.  Ex1, Ex2 and Ex3 have normal forms
 without a degree-(d-1) part, so t comes from one linear solve
 (`_translation`) and L from the coefficients of the centred pair; for Ex4, L
 comes from the top forms (the map at infinity) and t from the same solve.
+The matchers run in one fixed order, Ex1, Ex2, Ex3, Ex4 (Ex4 alone when no
+shift centres f1), and the first exact match answers.
 
 Guaranteed: a pair conjugate to an Ex1-Ex4 normal-form pair by a sigma with
 L diagonal or antidiagonal, its entries rationals times roots of unity of
@@ -23,14 +25,14 @@ import itertools
 from dataclasses import dataclass, field
 
 from .endo2 import (DEFAULT_DEGREE_CAP, PlaneEndo, commutes, compose,
-                    extends_to_p2, iterate, restrict_infinity)
-from .errors import (BudgetExceeded, CommendError, NotCommuting,
-                     PreconditionViolated, ScalarNotSolvable)
+                    extends_to_p2, iterate)
+from .errors import (BudgetExceeded, NotCommuting, PreconditionViolated,
+                     ScalarNotSolvable)
 from .families import (FamilyTag, chebyshev, chebyshev_conjugacies, ex1,
                        ex2, ex3_lift, ex4_descend)
 from .field import Coefficient, _solve_linear, kth_roots, roots_of_unity
 from .mpoly import MPoly, session_order
-from .rat1 import RatMap1, classify_infinity
+from .rat1 import RatMap1
 
 Z1, Z2 = MPoly.var("z1"), MPoly.var("z2")
 X, Y = MPoly.var("x"), MPoly.var("y")
@@ -386,26 +388,12 @@ def recognize(f1: PlaneEndo, f2: PlaneEndo,
     if not disjoint_iterates(f1, f2, degree_cap):
         raise PreconditionViolated("iterates collide within the degree cap")
     order = session_order(f1.comp1, f1.comp2, f2.comp1, f2.comp2)
-    tags = []
-    for f in (f1, f2):
-        try:
-            tags.append(classify_infinity(restrict_infinity(f)).tag)
-        except (ValueError, CommendError):
-            # no class at infinity: the matchers keep their default order
-            tags.append("Unknown")
-    matchers = [_match_ex1, _match_ex2, _match_ex3, _match_ex4]
-    if tags[0] == "PowerLike" and tags[1] == "PowerLike":
-        matchers = [_match_ex1, _match_ex3, _match_ex4, _match_ex2]
-    elif "ChebyshevLike" in tags:
-        matchers = [_match_ex2, _match_ex4, _match_ex1, _match_ex3]
-    elif "LattesLike" in tags:
-        matchers = [_match_ex3, _match_ex1, _match_ex2, _match_ex4]
     centre = _translation(f1)
-    centred = None
     if centre is None:
         # no shift clears the degree-(d-1) part: only Ex4 can match
-        matchers = [_match_ex4]
+        matchers, centred = [_match_ex4], None
     else:
+        matchers = [_match_ex1, _match_ex2, _match_ex3, _match_ex4]
         centred = (centre, affine_conjugate(f1, centre),
                    affine_conjugate(f2, centre))
     for matcher in matchers:

@@ -480,22 +480,18 @@ def _solve_two_var_system(polys, uname, vname):
         # every constraint is v-free: no finite system pins down v
         return []
     if only_u:
-        base = _common_rational_roots(only_u)
-        u_candidates.update(base or [])
-        have_base = True
+        u_candidates.update(_common_rational_roots(only_u))
     else:
-        have_base = False
-        p0 = dep_v[0]
-        for p in dep_v[1:]:
-            r = resultant(p0, p, vname)
-            if not r.is_zero() and not r.is_constant():
+        # no v-free condition: the top coefficient in z1 vanishes, so the
+        # top forms are h*(z1, z2) and the map does not extend to P^2
+        resultants = [r for p in dep_v[1:]
+                      if not (r := resultant(dep_v[0], p, vname)).is_zero()]
+        if not resultants:
+            raise PreconditionViolated(
+                "top forms are h*(z1, z2): the map does not extend to P^2")
+        for r in resultants:
+            if not r.is_constant():
                 u_candidates.update(rational_roots(r))
-        if len(dep_v) == 1:
-            # single curve in (u, v): pick u candidates from its coefficients
-            for coef in p0.univariate_in(vname):
-                if not coef.is_zero() and not coef.is_constant():
-                    u_candidates.update(rational_roots(coef))
-            u_candidates.add(0)
     sols = []
     for u0 in sorted(u_candidates):
         subbed = [p.substitute({uname: MPoly.constant(u0)}) for p in polys]

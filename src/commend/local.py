@@ -48,8 +48,11 @@ def intersection_mult(g1: MPoly, g2: MPoly) -> int:
     if not (g1.evaluate(origin).is_zero() and g2.evaluate(origin).is_zero()):
         raise PreconditionViolated("origin must be a common zero")
     common = gcd_poly(g1, g2)
-    if not common.is_constant() and common.evaluate(origin).is_zero():
-        raise NotIsolated("curves share a component through the origin")
+    if not common.is_constant():
+        if common.evaluate(origin).is_zero():
+            raise NotIsolated("curves share a component through the origin")
+        # a unit in the local ring at the origin
+        g1, g2 = g1.exact_divide(common), g2.exact_divide(common)
     for tau in SHEAR_CANDIDATES:
         shear = {"z1": Z1 + Z2.scale(tau)}
         s1, s2 = g1.substitute(shear), g2.substitute(shear)

@@ -341,143 +341,47 @@ def _fiber_data(r: RatMap1, o: Orbifold1, divisors):
     return fibers, images
 
 
-def _unmarked_is(unmarked, mult, count):
-    """True iff the unmarked part is exactly `count` points of multiplicity `mult`."""
-    if count == 0:
-        return not unmarked
-    return all(m == mult for _deg, m in unmarked) and \
-        sum(deg for deg, _m in unmarked) == count
+# Per signature, each tabulated case with the images of the marked points
+# taken by ascending weight, as indices in that order
+_PORTRAITS = {
+    "2222": [("O4-odd", (0, 1, 2, 3)), ("O4-even-all-to-one", (0, 0, 0, 0)),
+             ("O4-even-two-cycles", (0, 0, 2, 2))],
+    "333": [("O1-fixed", (0, 1, 2)), ("O1-all-to-one", (0, 0, 0))],
+    "236": [("O2-fixed", (0, 1, 2)), ("O2-even-not-3", (2, 1, 2)),
+            ("O2-div3-not-2", (0, 2, 2)), ("O2-div6", (2, 2, 2))],
+    "244": [("O3-fixed", (0, 1, 2)), ("O3-all-to-one", (1, 1, 1))],
+}
 
 
 def portrait(r: RatMap1, o: Orbifold1) -> Portrait:
+    """The tabulated case of a self-cover, read from the images of the
+    marked points alone.
+
+    Once `_covers` holds, the images force every fiber: over a marked point
+    of weight w, a marked preimage of weight v has multiplicity w/v, every
+    other preimage has multiplicity w, and the fiber's multiplicities add up
+    to the degree d, which fixes the unmarked count and d modulo w.  So a
+    case is an image pattern, matched up to relabelings of the marked points
+    that keep the weights.
+    """
     divisors = [pullback_divisor(r, alpha) for alpha, _w in o.marked]
     if not _covers(r, o, divisors):
         raise PreconditionViolated("map is not a self-cover of the orbifold")
-    d = r.degree
     fibers, images = _fiber_data(r, o, divisors)
-    weights = tuple(w for _p, w in o.marked)
-    s = len(weights)
-
-    def marked_fiber(j):
-        return dict(fibers[j][0])
-
-    def unmarked(j):
-        return fibers[j][1]
-
-    sig = "".join(str(w) for w in sorted(weights))
-
-    if sig == "2222":
-        if d % 2 == 1:
-            ok = all(images[j] == j for j in range(4)) and all(
-                marked_fiber(j) == {j: 1}
-                and _unmarked_is(unmarked(j), 2, (d - 1) // 2)
-                for j in range(4))
-            if ok:
-                return Portrait("O4-odd", tuple(fibers), images)
-        else:
-            targets = set(images)
-            if len(targets) == 1:
-                a = images[0]
-                ok = marked_fiber(a) == {j: 1 for j in range(4)} and \
-                    _unmarked_is(unmarked(a), 2, d // 2 - 2) and all(
-                        marked_fiber(j) == {} and _unmarked_is(unmarked(j), 2, d // 2)
-                        for j in range(4) if j != a)
-                if ok:
-                    return Portrait("O4-even-all-to-one", tuple(fibers), images)
-            if len(targets) == 2:
-                t1, t2 = sorted(targets)
-                pre1 = [j for j in range(4) if images[j] == t1]
-                pre2 = [j for j in range(4) if images[j] == t2]
-                if t1 in pre1 and t2 in pre2 and len(pre1) == 2 and len(pre2) == 2:
-                    ok = all(
-                        marked_fiber(t) == {a: 1, b: 1}
-                        and _unmarked_is(unmarked(t), 2, d // 2 - 1)
-                        for t, (a, b) in ((t1, sorted(pre1)), (t2, sorted(pre2)))
-                    ) and all(
-                        marked_fiber(j) == {} and _unmarked_is(unmarked(j), 2, d // 2)
-                        for j in range(4) if j not in (t1, t2))
-                    if ok:
-                        return Portrait("O4-even-two-cycles", tuple(fibers), images)
-        raise NoCaseMatch("2222 portrait outside the tabulated cases")
-
-    if sig == "333":
-        if d % 3 == 1:
-            ok = all(images[j] == j and marked_fiber(j) == {j: 1}
-                     and _unmarked_is(unmarked(j), 3, (d - 1) // 3)
-                     for j in range(3))
-            if ok:
-                return Portrait("O1-fixed", tuple(fibers), images)
-        if d % 3 == 0 and len(set(images)) == 1:
-            a = images[0]
-            ok = marked_fiber(a) == {j: 1 for j in range(3)} and \
-                _unmarked_is(unmarked(a), 3, d // 3 - 1) and all(
-                    marked_fiber(j) == {} and _unmarked_is(unmarked(j), 3, d // 3)
-                    for j in range(3) if j != a)
-            if ok:
-                return Portrait("O1-all-to-one", tuple(fibers), images)
-        raise NoCaseMatch("333 portrait outside the tabulated cases")
-
-    if sig == "236":
-        j6 = weights.index(6)
-        j3 = weights.index(3)
-        j2 = weights.index(2)
-        if d % 6 == 1:
-            ok = all(images[j] == j and marked_fiber(j) == {j: 1} for j in (j6, j3, j2)) \
-                and _unmarked_is(unmarked(j6), 6, (d - 1) // 6) \
-                and _unmarked_is(unmarked(j3), 3, (d - 1) // 3) \
-                and _unmarked_is(unmarked(j2), 2, (d - 1) // 2)
-            if ok:
-                return Portrait("O2-fixed", tuple(fibers), images)
-        if d % 6 == 4:
-            ok = images[j6] == j6 and images[j3] == j3 and images[j2] == j6 \
-                and marked_fiber(j2) == {} and _unmarked_is(unmarked(j2), 2, d // 2) \
-                and marked_fiber(j3) == {j3: 1} \
-                and _unmarked_is(unmarked(j3), 3, (d - 1) // 3) \
-                and marked_fiber(j6) == {j6: 1, j2: 3} \
-                and _unmarked_is(unmarked(j6), 6, (d - 4) // 6)
-            if ok:
-                return Portrait("O2-even-not-3", tuple(fibers), images)
-        if d % 6 == 3:
-            ok = images[j6] == j6 and images[j2] == j2 and images[j3] == j6 \
-                and marked_fiber(j3) == {} and _unmarked_is(unmarked(j3), 3, d // 3) \
-                and marked_fiber(j2) == {j2: 1} \
-                and _unmarked_is(unmarked(j2), 2, (d - 1) // 2) \
-                and marked_fiber(j6) == {j6: 1, j3: 2} \
-                and _unmarked_is(unmarked(j6), 6, (d - 3) // 6)
-            if ok:
-                return Portrait("O2-div3-not-2", tuple(fibers), images)
-        if d % 6 == 0:
-            ok = images[j3] == j6 and images[j2] == j6 and images[j6] == j6 \
-                and marked_fiber(j2) == {} and _unmarked_is(unmarked(j2), 2, d // 2) \
-                and marked_fiber(j3) == {} and _unmarked_is(unmarked(j3), 3, d // 3) \
-                and marked_fiber(j6) == {j6: 1, j2: 3, j3: 2} \
-                and _unmarked_is(unmarked(j6), 6, d // 6 - 1)
-            if ok:
-                return Portrait("O2-div6", tuple(fibers), images)
-        raise NoCaseMatch("236 portrait outside the tabulated cases")
-
-    if sig == "244":
-        j2 = weights.index(2)
-        j4a, j4b = [j for j in range(3) if weights[j] == 4]
-        if d % 4 == 1:
-            ok = all(images[j] == j and marked_fiber(j) == {j: 1} for j in range(3)) \
-                and _unmarked_is(unmarked(j2), 2, (d - 1) // 2) \
-                and _unmarked_is(unmarked(j4a), 4, (d - 1) // 4) \
-                and _unmarked_is(unmarked(j4b), 4, (d - 1) // 4)
-            if ok:
-                return Portrait("O3-fixed", tuple(fibers), images)
-        if d % 4 == 0:
-            for a, b in ((j4a, j4b), (j4b, j4a)):
-                ok = images[a] == a and images[b] == a and images[j2] == a \
-                    and marked_fiber(j2) == {} and _unmarked_is(unmarked(j2), 2, d // 2) \
-                    and marked_fiber(b) == {} and _unmarked_is(unmarked(b), 4, d // 4) \
-                    and marked_fiber(a) == {a: 1, b: 1, j2: 2} \
-                    and _unmarked_is(unmarked(a), 4, d // 4 - 1)
-                if ok:
-                    return Portrait("O3-all-to-one", tuple(fibers), images)
-        raise NoCaseMatch("244 portrait outside the tabulated cases")
-
-    raise NoCaseMatch(f"no tabulated portraits for signature {sig}")
+    weights = [w for _p, w in o.marked]
+    ascending = sorted(weights)
+    sig = "".join(str(w) for w in ascending)
+    if sig not in _PORTRAITS:
+        raise NoCaseMatch(f"no tabulated portraits for signature {sig}")
+    for order in permutations(range(len(weights))):
+        if [weights[j] for j in order] != ascending:
+            continue
+        rank = {j: k for k, j in enumerate(order)}
+        seen = tuple(rank[images[j]] for j in order)
+        for case, pattern in _PORTRAITS[sig]:
+            if seen == pattern:
+                return Portrait(case, tuple(fibers), images)
+    raise NoCaseMatch(f"{sig} portrait outside the tabulated cases")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from commend.classify import (SWAP, AffineConj, BudgetExceeded,
                               search)
 from commend.endo2 import (PlaneEndo, commutes, compose, extends_to_p2,
                            iterate)
-from commend.errors import NotExtendable, PreconditionViolated
+from commend.errors import PreconditionViolated
 from commend.families import chebyshev, ex1, ex2, ex4_descend
 from commend.field import _solve_linear
 from commend.mpoly import MPoly
@@ -123,19 +123,6 @@ class TestRecognize:
             g1 = affine_conjugate(DESC2, s)
             g2 = affine_conjugate(DESC3, s)
             assert recognize(g1, g2).tag == "Ex4"
-
-    def test_infinity_class_failure_keeps_default_order(self, monkeypatch):
-        def no_class(_r):
-            raise NotExtendable("no class")
-        monkeypatch.setattr(classify, "classify_infinity", no_class)
-        assert recognize(DESC2, DESC3).tag == "Ex4"
-
-    def test_infinity_class_bug_propagates(self, monkeypatch):
-        def broken(_r):
-            raise TypeError("bug")
-        monkeypatch.setattr(classify, "classify_infinity", broken)
-        with pytest.raises(TypeError):
-            recognize(DESC2, DESC3)
 
     def test_descent_bug_propagates(self, monkeypatch):
         # a failing ex4_descend must not read as "not a descent"

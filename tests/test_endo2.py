@@ -203,6 +203,14 @@ class TestInvariance:
         found = {str(line): tot for line, tot in rep.affine_lines}
         assert found.get("z1") is True and found.get("z2") is True
 
+    def test_invariant_lines_needs_extension(self):
+        # top forms z1*(z1, z2): every line z2 = u*z1 is invariant
+        with pytest.raises(PreconditionViolated):
+            invariant_lines(endo("(z1^2, z1*z2)"))
+        # no v-free condition, but a nonzero resultant: z2 = 0 alone
+        rep = invariant_lines(endo("(z1^2 + 1, z1*z2)"))
+        assert [str(line) for line, _tot in rep.affine_lines] == ["z2"]
+
 
 def _eliminated_image(f, g):
     """The image curve by the double elimination `image_curve` once used: a

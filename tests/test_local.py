@@ -39,6 +39,14 @@ class TestIntersectionMult:
         with pytest.raises(NotIsolated):
             intersection_mult(parse_poly("z1*z2"), parse_poly("z1"))
 
+    def test_divides_out_a_component_away_from_the_origin(self):
+        # z2 - 1 and z1 + 1 are units at the origin: what is left is z1 and
+        # z2, and z2 - z1^2 and z2
+        assert intersection_mult(parse_poly("z1*z2 - z1"),
+                                 parse_poly("z2^2 - z2")) == 1
+        assert intersection_mult(parse_poly("z1*z2 + z2 - z1^3 - z1^2"),
+                                 parse_poly("z1*z2 + z2")) == 2
+
     def test_symmetric(self):
         a, b = parse_poly("z2 - z1^2"), parse_poly("z2^2 - z1^3")
         assert intersection_mult(a, b) == intersection_mult(b, a)

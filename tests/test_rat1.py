@@ -1,6 +1,7 @@
 """Projective line maps, orbifold self-covers, portraits, classification."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,12 +13,13 @@ from commend.families import chebyshev, elliptic_lattes, EllipticCurveData
 from commend.field import Coefficient
 from commend.mpoly import (MPoly, gcd_poly, rational_roots, resultant,
                            squarefree_decompose, squarefree_part)
-from commend.parse import parse_poly
+from commend.parse import parse_map_pair, parse_poly
 from commend.rat1 import (POINT_INF, Orbifold1, RatMap1, affine_point,
                           classify_infinity, commutes1, compose1,
                           is_orbifold_selfcover, parabolic_check,
                           points_equal, portrait, pullback_divisor,
                           standard_orbifolds)
+from test_reports import portrait_maps
 
 
 def poly_map(text):
@@ -169,6 +171,27 @@ class TestFormSplit:
         assert len(calls) == len(TORSION_ORB.marked)
 
 
+def _line_map(text):
+    if text.startswith("lattes:"):
+        a, b, n = map(int, text[7:].split(","))
+        return elliptic_lattes(EllipticCurveData(a, b), n)
+    return RatMap1(*parse_map_pair(text))
+
+
+def _orbifold(text):
+    marked = []
+    for piece in text.split(","):
+        where, _, w = piece.rpartition(":")
+        point = POINT_INF if where == "inf" else affine_point(Fraction(where))
+        marked.append((point, math.inf if w == "inf" else int(w)))
+    return Orbifold1(tuple(marked))
+
+
+# (map, orbifold, case or None for no tabulated case), ten of the eleven cases
+PORTRAITS = [(_line_map(m), _orbifold(o), case)
+             for m, o, case in portrait_maps()]
+
+
 class TestOrbifolds:
     def test_parabolic_signatures(self):
         assert parabolic_check(TORSION_ORB)
@@ -204,6 +227,32 @@ class TestOrbifolds:
     def test_portrait_unlisted_signature(self):
         with pytest.raises(NoCaseMatch):
             portrait(TCHEB2, CHEB_ORB)
+
+    @given(st.sampled_from(range(len(PORTRAITS))), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_portrait_forced_by_images(self, which, data):
+        # the case does not depend on the order of the marked points, and
+        # over a marked point of weight w each marked preimage of weight v
+        # has multiplicity w/v and every other preimage multiplicity w
+        r, o, case = PORTRAITS[which]
+        perm = data.draw(st.permutations(range(len(o.marked))))
+        moved = Orbifold1(tuple(o.marked[i] for i in perm))
+        if case is None:
+            with pytest.raises(NoCaseMatch, match="outside the tabulated"):
+                portrait(r, moved)
+            return
+        pt, base = portrait(r, moved), portrait(r, o)
+        assert pt.case == case
+        new_index = {i: k for k, i in enumerate(perm)}
+        assert pt.images == tuple(new_index[base.images[i]] for i in perm)
+        weights = [w for _p, w in moved.marked]
+        for j, (marked, unmarked) in enumerate(pt.fibers):
+            pre = [i for i, image in enumerate(pt.images) if image == j]
+            assert all(weights[j] % weights[i] == 0 for i in pre)
+            assert marked == tuple((i, weights[j] // weights[i]) for i in pre)
+            assert all(m == weights[j] for _deg, m in unmarked)
+            assert sum(m for _i, m in marked) + \
+                sum(deg * m for deg, m in unmarked) == r.degree
 
 
 def _critical_values_by_elimination(r, rational, residual):

@@ -1,7 +1,7 @@
 """Golden stdout reports: the README commands, `classify` on the forty
-criterion-10 pairs, the P^1 commands, the critical-curve commands and the
-image curves of maps outside the families below, run in-process through
-`cli.main`.
+criterion-10 pairs, the P^1 commands, the critical-curve commands, the
+image curves of maps outside the families below and the portraits of
+Lattes maps induced on quotients, run in-process through `cli.main`.
 
 `tests/data/reports.txt` holds, for each command, a `$ commend ...` line and
 the exact stdout bytes of the report.  Regenerate it (only when a report is
@@ -18,10 +18,12 @@ from pathlib import Path
 
 from commend.classify import AffineConj, affine_conjugate
 from commend.cli import main
-from commend.families import chebyshev, ex1, ex2, ex3_lift, ex4_descend
+from commend.families import (EllipticCurveData, chebyshev, elliptic_lattes,
+                               ex1, ex2, ex3_lift, ex4_descend)
 from commend.mpoly import MPoly
 from commend.parse import parse_poly
 from commend.rat1 import RatMap1
+from commend.render import render_poly
 
 GOLDEN = Path(__file__).parent / "data" / "reports.txt"
 
@@ -75,6 +77,59 @@ P1_COMMANDS = [
     ["--cyclotomic", "3", "orbifold-cover", "--map=w*x^3",
      "--orbifold=inf:inf,0:inf"],
 ]
+
+
+def lattes_on_power(a, b, n, k):
+    """The map induced on u = x^k by multiplication by n on
+    y^2 = x^3 + a*x + b, as a --map argument: the forms of x^k after the
+    x-coordinate map, with every exponent divided by k."""
+    r = elliptic_lattes(EllipticCurveData(a, b), n)
+    forms = []
+    for form in (r.formS, r.formT):
+        terms = {}
+        for e, c in (form**k).terms.items():
+            exps = dict(zip(form.vars, e))
+            i, j = exps.get("s", 0), exps.get("t", 0)
+            if i % k or j % k:
+                raise ValueError(f"[{n}] does not descend to x^{k}")
+            terms[(i // k, j // k)] = c
+        forms.append(render_poly(MPoly.make(("s", "t"), terms)))
+    return f"({forms[0]}, {forms[1]})"
+
+
+# The maps induced on u = y by [2], [-2] and [3] on y^2 = x^3 + 1 (their
+# squares are x([n]P)^3 + 1 as functions of u^2 - 1)
+Y_LATTES = {
+    2: "(8*s*t^3, -27*s^4 + 18*s^2*t^2 + t^4)",
+    -2: "(8*s*t^3, 27*s^4 - 18*s^2*t^2 - t^4)",
+    3: "(-729*s^9 + 486*s^5*t^4 + 216*s^3*t^6 + 27*s*t^8, "
+       "-2187*s^8*t + 3888*s^6*t^3 - 2430*s^4*t^5 + 216*s^2*t^7 + t^9)",
+}
+
+# Orbifolds of the quotients u = x^2 of y^2 = x^3 - x, u = x^3 and u = y of
+# y^2 = x^3 + 1
+ORB_244 = "inf:4,0:4,1:2"
+ORB_236 = "inf:6,0:3,-1:2"
+ORB_333 = "inf:3,1:3,-1:3"
+
+
+def portrait_maps():
+    """(map, orbifold, case) reaching ten of the eleven tabulated portraits
+    and, on u = y, [2], which swaps the two finite marked points: no
+    tabulated case."""
+    return [
+        ("lattes:-1,0,2", "inf:2,0:2,1:2,-1:2", "O4-even-all-to-one"),
+        ("lattes:-1,0,3", "inf:2,0:2,1:2,-1:2", "O4-odd"),
+        (lattes_on_power(-1, 0, 2, 2), ORB_244, "O3-all-to-one"),
+        (lattes_on_power(-1, 0, 3, 2), ORB_244, "O3-fixed"),
+        (lattes_on_power(0, 1, 2, 3), ORB_236, "O2-even-not-3"),
+        (lattes_on_power(0, 1, 3, 3), ORB_236, "O2-div3-not-2"),
+        (lattes_on_power(0, 1, 5, 3), ORB_236, "O2-fixed"),
+        (lattes_on_power(0, 1, 6, 3), ORB_236, "O2-div6"),
+        (Y_LATTES[-2], ORB_333, "O1-fixed"),
+        (Y_LATTES[3], ORB_333, "O1-all-to-one"),
+        (Y_LATTES[2], ORB_333, None),
+    ]
 
 
 def _power_line_map(d):
@@ -170,8 +225,11 @@ def golden_commands():
     classify = [["classify", "--f", f"({f1.comp1}, {f1.comp2})",
                  "--g", f"({f2.comp1}, {f2.comp2})"]
                 for f1, f2 in criterion_10_pairs()]
+    # the first two portraits are among the README and P^1 commands
+    portraits = [["portrait", "--map", m, "--orbifold", o]
+                 for m, o, _case in portrait_maps()[2:]]
     return (README_COMMANDS + classify + P1_COMMANDS
-            + critical_layer_commands() + IMAGE_CURVE_COMMANDS)
+            + critical_layer_commands() + IMAGE_CURVE_COMMANDS + portraits)
 
 
 def render_reports() -> str:
