@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import NotDivisible
 
@@ -55,10 +55,20 @@ def divisors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Dense univariate kernel: coefficient lists [c0, ..., cd] over the field
 # ---------------------------------------------------------------------------
-# Results are trimmed (last entry nonzero); the zero polynomial is [].  The
-# kernel uses only + - * /, truthiness and == 1 on the entries, so the same
-# code runs on Fraction lists over Q and on Coefficient lists over Q(zeta_n).
-# Divisors must hold Fractions or Coefficients: int / int would give a float.
+# Results are trimmed (last entry nonzero); the zero polynomial is [].  Lists
+# hold Fractions (or ints) over Q and Coefficients over Q(zeta_n); the list
+# arithmetic uses only + - * /, truthiness and == 1 on the entries.  A
+# divisor whose leading entry is an int other than 1 divides in Z[x], exactly
+# or with NotDivisible, so no int / int can leave a float behind.
+#
+# The gcd and Yun's squarefree decomposition (in `mpoly`) and the extended
+# Euclid (here) run on pseudo-remainders, which divide no entry.  The one step
+# that depends on the domain is normalisation, chosen by `_domain`: over Q,
+# denominators are cleared once on entry and each remainder is divided by its
+# integer content, with a positive leading entry (the primitive PRS: Collins,
+# J. ACM 14, 1967; Brown-Traub, J. ACM 18, 1971); over Q(zeta_n), each
+# remainder is made monic.  Results leave monic, as Fractions over Q and as
+# Coefficients over Q(zeta_n).
 
 
 def _trim(a: list) -> list:
@@ -71,6 +81,10 @@ def _trim(a: list) -> list:
 def _dense_sub(a: list, b: list) -> list:
     n = min(len(a), len(b))
     return _trim([x - y for x, y in zip(a, b)] + a[n:] + [-y for y in b[n:]])
+
+
+def _scale(a: list, c) -> list:
+    return a if c == 1 else [x * c for x in a]
 
 
 def dense_mul(a: list, b: list) -> list:
@@ -88,37 +102,121 @@ def dense_mul(a: list, b: list) -> list:
 
 def dense_divmod(a: list, b: list):
     """(quotient, remainder) of a by the nonzero b, both trimmed; a monic
-    b takes each quotient entry as it stands, with no division."""
+    b takes each quotient entry as it stands, with no division.  A b with
+    an int leading entry other than 1 divides in Z[x]: each quotient entry
+    is an exact integer quotient and the remainder is [], or NotDivisible."""
     a, b = _trim(a), _trim(b)
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
-    db = len(b) - 1
-    if len(a) <= db:
-        return [], a
-    inv = None if b[-1] == 1 else 1 / b[-1]
-    quot = [None] * (len(a) - db)
+    db, lb = len(b) - 1, b[-1]
+    exact = type(lb) is int and lb != 1
+    quot = [None] * max(len(a) - db, 0)
+    inv = None if lb == 1 or exact or not quot else 1 / lb
     for i in range(len(quot) - 1, -1, -1):
-        c = a[i + db] if inv is None else a[i + db] * inv
+        c = a[i + db]
+        if exact:
+            c, m = divmod(c, lb)
+            if m:
+                raise NotDivisible("not an exact quotient in Z[x]")
+        elif inv is not None:
+            c = c * inv
         quot[i] = c
         if c:
-            for j in range(db):
-                a[i + j] = a[i + j] - c * b[j]
-    return quot, _trim(a[:db])
+            a[i:i + db] = [x - c * y for x, y in zip(a[i:i + db], b)]
+    rem = _trim(a[:db])
+    if exact and rem:
+        raise NotDivisible("not an exact quotient in Z[x]")
+    return quot, rem
+
+
+def _pseudo_divmod(a: list, b: list):
+    """(s, q, r) with s * a == q * b + r and deg r < deg b, for a nonzero
+    trimmed b, dividing no entry: s is the power of b's leading entry taken
+    at the steps with a nonzero top entry, 1 for a monic b."""
+    r, db, lb = list(a), len(b) - 1, b[-1]
+    s, q = 1, []  # q from its top entry down
+    while len(r) > db:
+        top = r.pop()
+        i = len(r) - db
+        if top and lb != 1:
+            s, q = s * lb, [x * lb for x in q]
+            r = [x * lb for x in r[:i]] + [x * lb - top * y
+                                           for x, y in zip(r[i:], b)]
+        elif top:
+            r[i:] = [x - top * y for x, y in zip(r[i:], b)]
+        q.append(top)
+    return s, q[::-1], _trim(r)
+
+
+def _primitive(a: list):
+    """(g, a / g) for an int list, g its content with the sign of its
+    leading entry; (1, []) for []."""
+    if not a:
+        return 1, a
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return g, a if g == 1 else [x // g for x in a]
+
+
+def _monic(a: list):
+    """(lc, a / lc) for a list over a field; (1, []) for []."""
+    if not a or a[-1] == 1:
+        return 1, a
+    inv = 1 / a[-1]
+    return a[-1], [x * inv for x in a]
+
+
+def _clear(a: list):
+    """(c, p) with a == c * p for a list over Q, c a Fraction and p a
+    primitive int list with a positive leading entry."""
+    den = lcm(*(x.denominator for x in a))
+    g, p = _primitive([x.numerator * (den // x.denominator) for x in a])
+    return Fraction(g, den), p
+
+
+def _monic_fractions(p: list) -> list:
+    return [Fraction(x, p[-1]) for x in p]
+
+
+def _domain(*lists):
+    """(enter, normal, leave) for trimmed lists: enter and normal write a
+    list a as (c, p) with a == c * p, p in normal form (enter on the inputs,
+    normal on the remainders), and leave turns a normal p into the monic
+    result.  Lists with a Coefficient entry are over Q(zeta_n), others over
+    Q."""
+    if any(isinstance(a[-1], Coefficient) for a in lists if a):
+        return _monic, _monic, list
+    return _clear, _primitive, _monic_fractions
 
 
 def dense_inverse_mod(a: list, f: list) -> list:
     """The s of degree below deg f with s * a = 1 mod f, by the extended
-    Euclid; raises NotDivisible when a and f share a factor."""
-    r0, r1 = _trim(f), dense_divmod(a, f)[1]
-    s0, s1 = [], [r0[-1] / r0[-1]]
-    # invariant: s0 * a = r0 and s1 * a = r1 (mod f)
-    while len(r1) > 1:
-        q, r = dense_divmod(r0, r1)
-        r0, r1, s0, s1 = r1, r, s1, _dense_sub(s0, dense_mul(q, s1))
+    Euclid on pseudo-remainders; raises NotDivisible when a and f share a
+    factor.  The cofactor of each remainder r is a list u with one common
+    scale e, u * a == e * r (mod f), and u + [e] is normalised like a
+    remainder."""
+    a, f = _trim(a), _trim(f)
+    if not f:
+        raise ZeroDivisionError("division by the zero polynomial")
+    enter, normal, _ = _domain(a, f)
+    ca, a = enter(a)
+    f = enter(f)[1]
+    # the first step reduces a modulo f
+    r0, r1, u0, e0, u1, e1 = a, f, [1], 1, [], 1
+    while True:
+        s, q, r = _pseudo_divmod(r0, r1)
+        # s * r0 - q * r1 == r == c * r2
+        c, r2 = normal(r)
+        u2 = _dense_sub(_scale(u0, s * e1), dense_mul(q, _scale(u1, e0)))
+        v = normal(u2 + [c * e0 * e1])[1]
+        r0, r1, u0, e0, u1, e1 = r1, r2, u1, e1, v[:-1], v[-1]
+        if len(r1) <= 1:
+            break
     if not r1:
         raise NotDivisible("not invertible: the polynomials share a factor")
-    inv = 1 / r1[0]
-    return dense_divmod([c * inv for c in s1], f)[1]
+    inv = 1 / (ca * e1 * r1[0])
+    return [x * inv for x in u1]
 
 
 # ---------------------------------------------------------------------------

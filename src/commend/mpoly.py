@@ -12,8 +12,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BothZero, NotASquare, NotDivisible
-from .field import (Coefficient, _dense_sub, _trim, dense_divmod, dense_mul,
-                    divisors, kth_roots)
+from .field import (Coefficient, _dense_sub, _domain, _pseudo_divmod, _trim,
+                    dense_divmod, dense_mul, divisors, kth_roots)
 
 # Canonical precedence used to order variable tuples.
 VAR_ORDER = (
@@ -378,10 +378,11 @@ def session_order(*polys: MPoly) -> int:
 # Dense univariate kernel: coefficient lists [c0, ..., cd] over the field
 # ---------------------------------------------------------------------------
 # The list primitives (`_trim`, `_dense_sub`, `dense_mul`, `dense_divmod`,
-# `dense_inverse_mod`) live in `field`, whose Q(zeta_n) arithmetic runs on
-# them; the gcd, squarefree and root helpers here build on them, under the
-# same rules: trimmed lists, the zero polynomial [], only + - * /,
-# truthiness and == 1 on the entries, Fraction or Coefficient divisors.
+# `_pseudo_divmod`, `dense_inverse_mod`) and the domain steps (`_domain`)
+# live in `field`, whose Q(zeta_n) arithmetic runs on them; the gcd,
+# squarefree and root helpers here build on them under the same rules.  Over
+# Q the gcd and Yun's algorithm run on primitive int lists and return monic
+# Fractions; over Q(zeta_n) they run on monic Coefficient lists.
 # `kernel_lists` turns Coefficient lists into Fractions when every entry is
 # rational; `from_dense` and `MPoly.make` coerce the entries back.
 
@@ -392,13 +393,6 @@ def kernel_lists(*lists: list[Coefficient]) -> list[list]:
     if all(c.order == 1 for a in lists for c in a):
         return [[c.res[0] for c in a] for a in lists]
     return list(lists)
-
-
-def _dense_monic(a: list) -> list:
-    if not a or a[-1] == 1:
-        return a
-    inv = 1 / a[-1]
-    return [c * inv for c in a]
 
 
 def _dense_derivative(a: list) -> list:
@@ -418,39 +412,53 @@ def dense_eval(a: list, x):
     return acc
 
 
-def dense_gcd(a: list, b: list) -> list:
-    """The monic gcd by Euclid's algorithm, each remainder made monic."""
-    a, b = _dense_monic(_trim(a)), _trim(b)
+def _prs_gcd(a: list, b: list, normal) -> list:
+    """The gcd of two lists in `normal` form, by pseudo-remainders each
+    brought to that form."""
+    a, b = normal(a)[1], normal(b)[1]
     while b:
-        b = _dense_monic(b)
-        a, b = b, dense_divmod(a, b)[1]
+        a, b = b, normal(_pseudo_divmod(a, b)[2])[1]
     return a
+
+
+def dense_gcd(a: list, b: list) -> list:
+    """The monic gcd, by the pseudo-remainder sequence of `_domain`'s
+    normal forms: primitive int lists over Q, monic lists over Q(zeta_n)."""
+    a, b = _trim(a), _trim(b)
+    enter, normal, leave = _domain(a, b)
+    return leave(_prs_gcd(enter(a)[1], enter(b)[1], normal))
 
 
 def dense_squarefree(a: list):
     """(unit, [(factor, multiplicity)]) of a nonzero list by Yun's
-    algorithm: monic squarefree coprime factors, ascending multiplicity."""
+    algorithm: monic squarefree coprime factors, ascending multiplicity.
+
+    Yun runs on the normal form w of a (Yun, SYMSAC 1976): over Q a
+    primitive int list, whose quotients by the primitive gcds are exact in
+    Z[x] by Gauss's lemma; the normal factors must rebuild w exactly.
+    """
     a = _trim(a)
-    w = _dense_monic(a)
+    enter, normal, leave = _domain(a)
+    w = enter(a)[1]
     dw = _dense_derivative(w)
-    g = dense_gcd(w, dw)
+    g = _prs_gcd(w, dw, normal)
     c, d = dense_divmod(w, g)[0], dense_divmod(dw, g)[0]
     d = _dense_sub(d, _dense_derivative(c))
     factors, k = [], 1
     while len(c) > 1:
-        g = dense_gcd(c, d)
+        g = _prs_gcd(c, d, normal)
         if len(g) > 1:
             factors.append((g, k))
         c = dense_divmod(c, g)[0]
         d = _dense_sub(dense_divmod(d, g)[0], _dense_derivative(c))
         k += 1
-    rebuilt = [a[-1]]
+    rebuilt = [1]
     for f, m in factors:
         for _ in range(m):
             rebuilt = dense_mul(rebuilt, f)
-    if rebuilt != a:
+    if rebuilt != w:
         raise AssertionError("squarefree factors do not rebuild p")
-    return a[-1], factors
+    return a[-1], [(leave(f), m) for f, m in factors]
 
 
 # ---------------------------------------------------------------------------

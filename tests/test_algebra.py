@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from commend.cli import main
 from commend.errors import (BothZero, NotASquare, NotDivisible, ParseError,
                             UnknownVariable)
-from commend.field import (Coefficient, _solve_linear, cyclotomic_coeffs,
-                           dense_divmod, dense_inverse_mod, dense_mul,
-                           divisors, euler_phi, kth_roots, roots_of_unity)
-from commend.mpoly import (MPoly, binary_form_resultant, dense_gcd,
-                           dense_rational_roots, dense_squarefree,
+from commend.field import (Coefficient, _dense_sub, _solve_linear, _trim,
+                           cyclotomic_coeffs, dense_divmod, dense_inverse_mod,
+                           dense_mul, divisors, euler_phi, kth_roots,
+                           roots_of_unity)
+from commend.mpoly import (MPoly, _dense_derivative, binary_form_resultant,
+                           dense_gcd, dense_rational_roots, dense_squarefree,
                            forms_share_zero, from_dense, gcd_poly,
                            kernel_lists, poly_sqrt, rational_roots, resultant,
                            squarefree_decompose, squarefree_part)
@@ -606,6 +607,172 @@ class TestDenseKernel:
         assert main(argv) == 0
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().out == out.stdout
+
+
+# The per-coefficient Euclid over the field that the kernel ran before it
+# moved to pseudo-remainders, kept as the oracle for the kernel's results;
+# it shares only the list helpers `_trim`, `_dense_sub`, `_dense_derivative`
+# and `dense_mul` with the kernel.
+
+
+def _oracle_divmod(a, b):
+    a, b = _trim(a), _trim(b)
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], a
+    inv = None if b[-1] == 1 else 1 / b[-1]
+    quot = [None] * (len(a) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        c = a[i + db] if inv is None else a[i + db] * inv
+        quot[i] = c
+        if c:
+            for j in range(db):
+                a[i + j] = a[i + j] - c * b[j]
+    return quot, _trim(a[:db])
+
+
+def _oracle_monic(a):
+    if not a or a[-1] == 1:
+        return a
+    inv = 1 / a[-1]
+    return [c * inv for c in a]
+
+
+def oracle_gcd(a, b):
+    a, b = _oracle_monic(_trim(a)), _trim(b)
+    while b:
+        b = _oracle_monic(b)
+        a, b = b, _oracle_divmod(a, b)[1]
+    return a
+
+
+def oracle_squarefree(a):
+    a = _trim(a)
+    w = _oracle_monic(a)
+    dw = _dense_derivative(w)
+    g = oracle_gcd(w, dw)
+    c, d = _oracle_divmod(w, g)[0], _oracle_divmod(dw, g)[0]
+    d = _dense_sub(d, _dense_derivative(c))
+    factors, k = [], 1
+    while len(c) > 1:
+        g = oracle_gcd(c, d)
+        if len(g) > 1:
+            factors.append((g, k))
+        c = _oracle_divmod(c, g)[0]
+        d = _dense_sub(_oracle_divmod(d, g)[0], _dense_derivative(c))
+        k += 1
+    return a[-1], factors
+
+
+def oracle_inverse_mod(a, f):
+    r0, r1 = _trim(f), _oracle_divmod(a, f)[1]
+    s0, s1 = [], [r0[-1] / r0[-1]]
+    while len(r1) > 1:
+        q, r = _oracle_divmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, _dense_sub(s0, dense_mul(q, s1))
+    if not r1:
+        raise NotDivisible("not invertible: the polynomials share a factor")
+    inv = 1 / r1[0]
+    return _oracle_divmod([c * inv for c in s1], f)[1]
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except (NotDivisible, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+big = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**6))
+
+
+@st.composite
+def big_list(draw, order, min_degree=0, max_degree=4):
+    """A list of exact degree in the range, entries with numerators up to
+    10^40 and denominators up to 10^6: Fractions for order 1, Coefficients
+    of Q(zeta_3) for order 3."""
+    d = draw(st.integers(min_degree, max_degree))
+    entries = draw(st.lists(big, min_size=d + 1, max_size=d + 1))
+    if order == 3:
+        entries = [c + W * draw(big) for c in entries]
+    if not entries[-1]:
+        entries[-1] = draw(big.filter(bool)) if order == 1 else W
+    return entries
+
+
+@st.composite
+def kernel_pair(draw, order):
+    """(a, b): independent draws, or, half of the time, both multiplied by a
+    drawn factor and a squared by a second one."""
+    a = draw(big_list(order))
+    b = draw(big_list(order, min_degree=1))
+    if draw(st.booleans()):
+        g = draw(big_list(order, min_degree=1, max_degree=2))
+        h = draw(big_list(order, min_degree=1, max_degree=2))
+        a, b = dense_mul(dense_mul(a, g), dense_mul(h, h)), dense_mul(b, g)
+    return a, b
+
+
+class TestKernelOracle:
+    """The kernel against the field Euclid it replaced: the same monic
+    lists, or the same exception, over Q and over Q(zeta_3)."""
+
+    @given(st.sampled_from([1, 3]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_gcd_squarefree_and_inverse_match_the_oracle(self, order, data):
+        a, b = data.draw(kernel_pair(order))
+        entry = Fraction if order == 1 else Coefficient
+        got = {"gcd": _outcome(dense_gcd, a, b),
+               "inverse_mod": _outcome(dense_inverse_mod, a, b),
+               "inverse_mod_swapped": _outcome(dense_inverse_mod, b, a),
+               "squarefree": _outcome(dense_squarefree, a)}
+        want = {"gcd": _outcome(oracle_gcd, a, b),
+                "inverse_mod": _outcome(oracle_inverse_mod, a, b),
+                "inverse_mod_swapped": _outcome(oracle_inverse_mod, b, a),
+                "squarefree": _outcome(oracle_squarefree, a)}
+        assert got == want
+        values = [v for v in got.values() if not isinstance(v, type)]
+        assert all(type(c) is entry for c in _entries(values))
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_zero_and_constant_lists_match_the_oracle(self, data):
+        a = data.draw(st.sampled_from([[], [Fraction(0)], [Fraction(-3, 7)]]))
+        b = data.draw(st.one_of(st.just([]), big_list(1, max_degree=3)))
+        assert _outcome(dense_gcd, a, b) == _outcome(oracle_gcd, a, b)
+        assert _outcome(dense_gcd, b, a) == _outcome(oracle_gcd, b, a)
+        assert (_outcome(dense_inverse_mod, a, b)
+                == _outcome(oracle_inverse_mod, a, b))
+        assert (_outcome(dense_inverse_mod, b, a)
+                == _outcome(oracle_inverse_mod, b, a))
+        if b:
+            assert dense_squarefree(b) == oracle_squarefree(b)
+
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4),
+           st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4),
+           st.integers(-50, 50).filter(lambda c: c not in (0, 1)))
+    @settings(max_examples=60, deadline=None)
+    def test_int_divisor_divides_exactly_or_raises(self, q, low, lead):
+        # an int divisor whose leading entry is not 1 divides in Z[x]: an
+        # exact multiple gives its int quotient, anything else NotDivisible
+        b = low + [lead]
+        q = _trim(q)
+        a = dense_mul(q, b)
+        assert dense_divmod(a, b) == (q, [])
+        quot = dense_divmod(a, b)[0]
+        assert all(type(c) is int for c in quot)
+        a_off = list(a) + [0] * (len(b) - len(a))
+        a_off[0] += 1  # a multiple plus 1 is no multiple of a nonconstant b
+        if len(b) > 1 or lead != -1:
+            with pytest.raises(NotDivisible):
+                dense_divmod(a_off, b)
+        # no float in any kernel result on int lists
+        results = [dense_gcd(a_off, b), dense_squarefree(b),
+                   _outcome(dense_inverse_mod, a_off, b)]
+        assert not any(isinstance(c, float) for c in _entries(results))
 
 
 class TestParseRender:
