@@ -1,6 +1,14 @@
 """Recognition of commuting pairs against the standard families, plus a
-grid search over small integer coefficient supports that solves the
-conditions of f o g == g o f linear in g for each f's one possible partner.
+grid search over small coefficient supports that finds each f's one
+possible partner g from the conditions of f o g == g o f linear in g.
+
+The search solves those conditions once per degree pair, with f's
+parameters u as symbols (`_partner_system`): g's parameters come out as
+integer polynomials in u over one common denominator, and the conditions
+in u alone, with the consistency conditions of the rows beyond the rank,
+as integer polynomials that must vanish.  Each f of the grid then costs a
+few evaluations on its own numbers and one lookup of its partner in the
+grid; only those pairs meet the exact commutes check.
 
 `recognize` derives a conjugation sigma(z) = L z + t and a normal form of
 one family, and answers only when affine_conjugate(f_i, sigma) equals the
@@ -22,7 +30,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .endo2 import (DEFAULT_DEGREE_CAP, PlaneEndo, commutes, compose,
                     extends_to_p2, iterate)
@@ -30,7 +40,8 @@ from .errors import (BudgetExceeded, NotCommuting, PreconditionViolated,
                      ScalarNotSolvable)
 from .families import (FamilyTag, chebyshev, chebyshev_conjugacies, ex1,
                        ex2, ex3_lift, ex4_descend)
-from .field import Coefficient, _solve_linear, kth_roots, roots_of_unity
+from .field import (Coefficient, _left_inverse, _solve_linear, kth_roots,
+                    roots_of_unity)
 from .mpoly import MPoly, session_order
 from .rat1 import RatMap1
 
@@ -456,16 +467,38 @@ def _grid_endo(d: int, params):
     return Z1**3 + Z1 * Z2 * a + Z1 * b, Z2**3 + Z2 * dd
 
 
-@functools.cache
-def _partner_system(d1: int, d2: int):
+def _integer_terms(p: MPoly, names, den: int):
+    """den * p, for p over Q in the variables names, as terms (c, ((k, e),
+    ...)): an int c times the product of names[k]^e."""
+    at = [names.index(v) for v in p.vars]
+    return tuple((int(c.rational_value * den),
+                  tuple((k, e) for k, e in zip(at, exps) if e))
+                 for exps, c in p.terms.items())
+
+
+def _denominator(polys) -> int:
+    return math.lcm(*(c.rational_value.denominator
+                      for p in polys for c in p.terms.values()))
+
+
+def _evaluate(terms, point):
+    """Integer terms from `_integer_terms` at the parameter tuple point."""
+    total = 0
+    for c, factors in terms:
+        for k, e in factors:
+            c *= point[k] ** e
+        total += c
+    return total
+
+
+def _separable_system(d1: int, d2: int):
     """The separable part of f o g == g o f for grid maps f of degree d1
     (parameters u0, u1, ...) and g of degree d2 (v0, v1, ...).
 
     Returns (f_only, lhs, rhs): every polynomial of f_only, in the u alone,
-    vanishes, and lhs . v == -rhs(u), with lhs a constant rational matrix of
-    full column rank, so each f has at most one partner.  A condition with a
-    term of degree two or more in the v, or mixing u and v, is left to the
-    exact commutes check.
+    vanishes, and lhs . v == -rhs(u), with lhs a constant rational matrix.
+    A condition with a term of degree two or more in the v, or mixing u and
+    v, is left to the exact commutes check.
     """
     vs = [f"v{k}" for k in range(_GRID_PARAMS[d2])]
     f = _grid_endo(d1, [MPoly.var(f"u{k}") for k in range(_GRID_PARAMS[d1])])
@@ -487,27 +520,54 @@ def _partner_system(d1: int, d2: int):
                     rhs.append(free)
                 elif free.terms:
                     f_only.append(free)
-    if not lhs or _solve_linear(lhs, [0] * len(lhs)) is None:
+    return f_only, lhs, rhs
+
+
+@functools.cache
+def _partner_system(d1: int, d2: int):
+    """`_separable_system` solved for the v once, as integer terms (see
+    `_evaluate`): (conditions, partner, den).
+
+    f has a partner only when every condition vanishes at f's parameters
+    u, and then the partner's parameters are partner(u) / den.  lhs has
+    full column rank, so each f has at most one partner; the conditions
+    are f_only and the consistency conditions check . rhs(u) == 0 of the
+    rows beyond the rank.
+    """
+    us = [f"u{k}" for k in range(_GRID_PARAMS[d1])]
+    f_only, lhs, rhs = _separable_system(d1, d2)
+    solved = _left_inverse(lhs) if lhs else None
+    if solved is None:
         raise AssertionError(f"grid partner system for degrees {(d1, d2)} "
                              "lacks full column rank")
-    return tuple(f_only), tuple(lhs), tuple(rhs)
+    inverse, check = solved
+
+    def combine(row):
+        return MPoly._sum(p.scale(c) for c, p in zip(row, rhs) if c)
+
+    consistency = [q for q in map(combine, check) if q.terms]
+    conditions = tuple(_integer_terms(q, us, _denominator([q]))
+                       for q in f_only + consistency)
+    solution = [-combine(row) for row in inverse]
+    den = _denominator(solution)
+    return (conditions,
+            tuple(_integer_terms(q, us, den) for q in solution), den)
 
 
 def _candidate_pairs(d1: int, d2: int, maps1, maps2):
     """The (f, g) whose parameters satisfy the separable conditions; when
     d1 == d2, only g after f in the grid."""
-    f_only, lhs, rhs = _partner_system(d1, d2)
+    conditions, partner, den = _partner_system(d1, d2)
     index2 = {m: j for j, m in enumerate(maps2)}
     pairs = []
-    for i, m1 in enumerate(maps1):
-        point = {f"u{k}": x for k, x in enumerate(m1)}
-        if any(not p.evaluate(point).is_zero() for p in f_only):
+    for i, u in enumerate(maps1):
+        if any(_evaluate(p, u) for p in conditions):
             continue
-        v = _solve_linear(lhs,
-                          [-p.evaluate(point).rational_value for p in rhs])
-        j = None if v is None else index2.get(tuple(v))
+        v = [_evaluate(p, u) for p in partner]
+        j = index2.get(tuple(v) if den == 1 else
+                       tuple(Fraction(x, den) for x in v))
         if j is not None and (d1 != d2 or j > i):
-            pairs.append((m1, maps2[j]))
+            pairs.append((u, maps2[j]))
     return pairs
 
 

@@ -246,6 +246,25 @@ def _power_residues(n: int, upto: int) -> tuple[tuple[Fraction, ...], ...]:
                  for k in range(upto))
 
 
+def _gauss_jordan(rows, ncols: int) -> bool:
+    """Reduce the augmented rows in place until their first ncols columns
+    read as the identity above zero rows; False when the rank is short."""
+    for c in range(ncols):
+        # column c gets its pivot in row c, or the rank is short
+        pivot = next((i for i in range(c, len(rows)) if rows[i][c] != 0),
+                     None)
+        if pivot is None:
+            return False
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = 1 / rows[c][c]
+        rows[c] = [x * inv for x in rows[c]]
+        for i in range(len(rows)):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return True
+
+
 def _solve_linear(matrix, rhs):
     """Solve matrix @ x = rhs over Q or Q(zeta_n); matrix given as list of
     row tuples of Fraction or Coefficient entries.
@@ -255,22 +274,42 @@ def _solve_linear(matrix, rhs):
     """
     rows = [list(r) + [v] for r, v in zip(matrix, rhs)]
     ncols = len(matrix[0]) if matrix else 0
-    for c in range(ncols):
-        # column c gets its pivot in row c, or the rank is short
-        pivot = next((i for i in range(c, len(rows)) if rows[i][c] != 0),
-                     None)
-        if pivot is None:
-            return None
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        inv = 1 / rows[c][c]
-        rows[c] = [x * inv for x in rows[c]]
-        for i in range(len(rows)):
-            if i != c and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    if any(row[-1] != 0 for row in rows[ncols:]):
+    if not _gauss_jordan(rows, ncols) or \
+            any(row[-1] != 0 for row in rows[ncols:]):
         return None
     return [row[-1] for row in rows[:ncols]]
+
+
+def _left_inverse(matrix):
+    """(inverse, check) for a matrix of m rows and n columns, given as in
+    `_solve_linear`: inverse @ matrix is the n x n identity, and the m - n
+    check rows span the rows y with y @ matrix == 0.  So matrix @ x = b is
+    solvable exactly when check @ b == 0, and then x = inverse @ b.  None
+    when the matrix lacks full column rank."""
+    m = len(matrix)
+    ncols = len(matrix[0]) if matrix else 0
+    rows = [list(r) + [int(i == k) for k in range(m)]
+            for i, r in enumerate(matrix)]
+    if not _gauss_jordan(rows, ncols):
+        return None
+    return ([row[ncols:] for row in rows[:ncols]],
+            [row[ncols:] for row in rows[ncols:]])
+
+
+def _dot(row, vec) -> Fraction:
+    return sum((c * x for c, x in zip(row, vec) if c), Fraction(0))
+
+
+@lru_cache(maxsize=None)
+def _subfield_solver(order: int, m: int):
+    """`_left_inverse` of the matrix whose columns are the residues, in
+    Q(zeta_order), of the power basis of the subfield Q(zeta_m)."""
+    phi_m = euler_phi(m)
+    step = order // m
+    basis = _power_residues(order, phi_m * step or 1)
+    cols = [basis[j * step] for j in range(phi_m)]
+    return _left_inverse([tuple(col[i] for col in cols)
+                          for i in range(euler_phi(order))])
 
 
 class Coefficient:
@@ -294,17 +333,12 @@ class Coefficient:
     def _contract(order: int, res: list[Fraction]):
         if order == 1:
             return order, res
-        for m in divisors(order):
-            if m == order:
-                break
-            phi_m = euler_phi(m)
-            step = order // m
-            basis = _power_residues(order, phi_m * step or 1)
-            cols = [basis[j * step] for j in range(phi_m)]
-            matrix = [tuple(col[i] for col in cols) for i in range(len(res))]
-            sol = _solve_linear(matrix, res)
-            if sol is not None:
-                return Coefficient._contract(m, sol)
+        for m in divisors(order)[:-1]:
+            # res lies in Q(zeta_m) when the check rows annihilate it
+            inverse, check = _subfield_solver(order, m)
+            if not any(_dot(row, res) for row in check):
+                return Coefficient._contract(
+                    m, [_dot(row, res) for row in inverse])
         return order, res
 
     # -- constructors -------------------------------------------------

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from commend.cli import main
 from commend.errors import (BothZero, NotASquare, NotDivisible, ParseError,
                             UnknownVariable)
-from commend.field import (Coefficient, _dense_sub, _solve_linear, _trim,
+from commend.field import (Coefficient, _dense_sub, _left_inverse,
+                           _solve_linear, _trim,
                            cyclotomic_coeffs, dense_divmod, dense_inverse_mod,
                            dense_mul, divisors, euler_phi, kth_roots,
                            roots_of_unity)
@@ -159,6 +160,62 @@ class TestCoefficient:
         # a second row proportional to the first: rank 1
         assert _solve_linear([(one, w), (w, w * w)], [zero, zero]) is None
         assert _solve_linear([(zero, one), (zero, w)], [one, w]) is None
+
+
+def _apply(matrix, vec):
+    return [sum((x * y for x, y in zip(row, vec)), Coefficient.zero())
+            for row in matrix]
+
+
+def _matmul(a, b):
+    return [_apply(a, col) for col in zip(*b)]  # the columns of a @ b
+
+
+@st.composite
+def field_entries(draw, order):
+    """A small element of Q (order 1, as a Fraction) or of Q(zeta_3)."""
+    if order == 1:
+        return draw(small)
+    return Coefficient(3, [draw(small), draw(small)])
+
+
+class TestLeftInverse:
+    @given(st.sampled_from([1, 3]), st.integers(1, 3), st.integers(0, 3),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_and_check_rows(self, order, n, extra, data):
+        m = n + extra
+        matrix = [tuple(data.draw(field_entries(order)) for _ in range(n))
+                  for _ in range(m)]
+        solved = _left_inverse(matrix)
+        if _solve_linear(matrix, [0] * m) is None:
+            assert solved is None  # short rank
+            return
+        inverse, check = solved
+        assert len(inverse) == n and len(check) == m - n
+        assert _matmul(inverse, matrix) == \
+            [[int(i == j) for i in range(n)] for j in range(n)]
+        assert _matmul(check, matrix) == [[0] * len(check)] * n
+        # the check rows are independent: they span the whole left kernel
+        if check:
+            assert _left_inverse(list(zip(*check))) is not None
+        # matrix @ x = b is solvable exactly when check @ b == 0, and then
+        # x == inverse @ b
+        x = [data.draw(field_entries(order)) for _ in range(n)]
+        b = _apply(matrix, x)
+        assert _apply(inverse, b) == x and not any(_apply(check, b))
+        b[data.draw(st.integers(0, m - 1))] += 1
+        assert (_solve_linear(matrix, b) is None) == any(_apply(check, b))
+
+    def test_short_rank(self):
+        w = Coefficient.root_of_unity(3)
+        one, two = Fraction(1), Fraction(2)
+        assert _left_inverse([(one, two), (two, 2 * two)]) is None
+        assert _left_inverse([(one, 0), (two, 0), (one, 0)]) is None
+        assert _left_inverse([(one, w), (w, w * w), (2 * w, 2 * w * w)]) \
+            is None
+        # a square matrix of full rank has no check rows
+        assert _left_inverse([(one, w), (w, one)])[1] == []
 
 
 CYCLO_ORDERS = [3, 4, 5, 7, 8, 9, 12, 15]

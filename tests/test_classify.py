@@ -219,6 +219,24 @@ def brute_force_search(degrees, coeffs):
     return out
 
 
+def per_map_candidate_pairs(d1, d2, maps1, maps2):
+    """The candidate pairs by evaluating the separable system at each f and
+    solving it for g's parameters."""
+    f_only, lhs, rhs = classify._separable_system(d1, d2)
+    index2 = {m: j for j, m in enumerate(maps2)}
+    pairs = []
+    for i, m1 in enumerate(maps1):
+        point = {f"u{k}": x for k, x in enumerate(m1)}
+        if any(not p.evaluate(point).is_zero() for p in f_only):
+            continue
+        v = _solve_linear(lhs,
+                          [-p.evaluate(point).rational_value for p in rhs])
+        j = None if v is None else index2.get(tuple(v))
+        if j is not None and (d1 != d2 or j > i):
+            pairs.append((m1, maps2[j]))
+    return pairs
+
+
 class TestSearch:
     @pytest.mark.parametrize("degrees,coeffs", [
         ((2, 3), [0, 2, 3]), ((3, 2), [0, 2, 3]),
@@ -232,12 +250,11 @@ class TestSearch:
 
     def test_partner_system_anchors(self):
         def partner(d1, d2, params):
-            f_only, lhs, rhs = classify._partner_system(d1, d2)
-            point = {f"u{k}": x for k, x in enumerate(params)}
-            if any(not p.evaluate(point).is_zero() for p in f_only):
+            conditions, partner, den = classify._partner_system(d1, d2)
+            if any(classify._evaluate(p, params) for p in conditions):
                 return None
-            return _solve_linear(
-                lhs, [-p.evaluate(point).rational_value for p in rhs])
+            return [Fraction(classify._evaluate(p, params), den)
+                    for p in partner]
 
         # (2,2) and (3,3) force g == f; (2,3) forces c == 0 and
         # (A, B, D) == 3/2 (a, b, e)
@@ -245,8 +262,52 @@ class TestSearch:
         assert partner(3, 3, (1, -2, 3)) == [1, -2, 3]
         assert partner(2, 3, (2, 4, 0, 6)) == [3, 6, 9]
         assert partner(2, 3, (2, 4, 1, 6)) is None
+        assert classify._partner_system(2, 3)[2] == 2
         # probe_pass counts the solved pairs: c == 0 and a, b, e in {0, 2}
         assert search((2, 3), [0, 2, 3]).probe_pass == 8
+
+    @given(st.sampled_from([(2, 3), (3, 2), (2, 2), (3, 3)]),
+           st.sets(st.integers(-12, 12), min_size=1, max_size=5),
+           st.sets(st.builds(Fraction, st.integers(-12, 12),
+                             st.sampled_from([2, 3])), max_size=1))
+    @settings(max_examples=40, deadline=None)
+    @example((2, 3), {0, 2, 3}, set())
+    @example((2, 3), {0, 1}, {Fraction(3, 2)})
+    @example((3, 2), {0, 3}, {Fraction(2, 3)})
+    @example((2, 2), {-1, 0, 1}, set())
+    @example((3, 3), {-1, 0, 1}, set())
+    def test_candidates_match_per_map_solve(self, degrees, ints, fractions):
+        # the solved system finds the pairs a solve per map of the grid finds
+        maps = {d: classify._grid_maps(d, ints | fractions) for d in (2, 3)}
+        args = (*degrees, maps[degrees[0]], maps[degrees[1]])
+        assert classify._candidate_pairs(*args) == \
+            per_map_candidate_pairs(*args)
+
+    def test_tall_system_rows_become_conditions(self, monkeypatch):
+        # u0 and v0 also weigh z2 in the first component and z1 in the
+        # second: the (2,3) system gets more linear rows than g has
+        # parameters, and the rows beyond the rank must force a == 0
+        real = classify._grid_endo
+
+        def coupled(d, params):
+            first = MPoly.coerce(params[0])
+            c1, c2 = real(d, params)
+            return c1 + Z2 * first, c2 + Z1 * first
+
+        monkeypatch.setattr(classify, "_grid_endo", coupled)
+        classify._partner_system.cache_clear()
+        try:
+            f_only, lhs, _rhs = classify._separable_system(2, 3)
+            assert len(lhs) > len(lhs[0])
+            conditions = classify._partner_system(2, 3)[0]
+            assert len(conditions) > len(f_only)
+            maps1 = classify._grid_maps(2, [-1, 0, 1, 3])
+            maps2 = classify._grid_maps(3, [-1, 0, 1, 3])
+            pairs = classify._candidate_pairs(2, 3, maps1, maps2)
+            assert pairs == per_map_candidate_pairs(2, 3, maps1, maps2)
+            assert pairs and all(f[0] == 0 for f, _g in pairs)
+        finally:
+            classify._partner_system.cache_clear()
 
     def test_rank_deficient_system_raises(self, monkeypatch):
         # a g parameter seen only squared leaves a zero column: the search

@@ -1,7 +1,8 @@
 """Golden stdout reports: the README commands, `classify` on the forty
 criterion-10 pairs, the P^1 commands, the critical-curve commands, the
-image curves of maps outside the families below and the portraits of
-Lattes maps induced on quotients, run in-process through `cli.main`.
+image curves of maps outside the families below, the portraits of Lattes
+maps induced on quotients and a larger search grid, run in-process
+through `cli.main`.
 
 `tests/data/reports.txt` holds, for each command, a `$ commend ...` line and
 the exact stdout bytes of the report.  Regenerate it (only when a report is
@@ -33,6 +34,11 @@ README_COMMANDS = [
     ["orbifold-cover", "--map", "cheb:2", "--orbifold", "inf:inf,2:2,-2:2"],
     ["portrait", "--map", "lattes:-1,0,2", "--orbifold", "inf:2,0:2,1:2,-1:2"],
     ["search", "--degrees", "2,3", "--coeffs=-4..4"],
+]
+
+# the (2,3) grid over -10..10: 1 801 088 541 pairs, 343 solved partners
+SEARCH_COMMANDS = [
+    ["search", "--degrees", "2,3", "--coeffs=-10..10"],
 ]
 
 
@@ -229,7 +235,8 @@ def golden_commands():
     portraits = [["portrait", "--map", m, "--orbifold", o]
                  for m, o, _case in portrait_maps()[2:]]
     return (README_COMMANDS + classify + P1_COMMANDS
-            + critical_layer_commands() + IMAGE_CURVE_COMMANDS + portraits)
+            + critical_layer_commands() + IMAGE_CURVE_COMMANDS + portraits
+            + SEARCH_COMMANDS)
 
 
 def render_reports() -> str:
