@@ -6,9 +6,11 @@ The search solves those conditions once per degree pair, with f's
 parameters u as symbols (`_partner_system`): g's parameters come out as
 integer polynomials in u over one common denominator, and the conditions
 in u alone, with the consistency conditions of the rows beyond the rank,
-as integer polynomials that must vanish.  Each f of the grid then costs a
-few evaluations on its own numbers and one lookup of its partner in the
-grid; only those pairs meet the exact commutes check.
+as integer polynomials that must vanish.  Each parameter of f first keeps
+the grid values its own conditions and partner coordinates allow; each f
+of their product then costs a few evaluations on its own numbers and one
+lookup of its partner in the grid, and only those pairs meet the exact
+commutes check.  At equal degrees the partner is f itself: no pair.
 
 `recognize` derives a conjugation sigma(z) = L z + t and a normal form of
 one family, and answers only when affine_conjugate(f_i, sigma) equals the
@@ -16,8 +18,12 @@ normal form exactly for both maps.  Ex1, Ex2 and Ex3 have normal forms
 without a degree-(d-1) part, so t comes from one linear solve
 (`_translation`) and L from the coefficients of the centred pair; for Ex4, L
 comes from the top forms (the map at infinity) and t from the same solve.
-The matchers run in one fixed order, Ex1, Ex2, Ex3, Ex4 (Ex4 alone when no
-shift centres f1), and the first exact match answers.
+The matchers follow the shape of the centred pair: Ex3 then Ex4 when both
+centred maps are homogeneous, else Ex1, Ex2, Ex4 (Ex4 alone when no shift
+centres f1), and the first exact match answers.  That is the verdict of
+Ex1, Ex2, Ex3, Ex4 in a row: Ex1 and Ex2 compare linear conjugates of the
+centred maps, homogeneous when those are, with normal forms that are not,
+and Ex3 takes only homogeneous pairs.
 
 Guaranteed: a pair conjugate to an Ex1-Ex4 normal-form pair by a sigma with
 L diagonal or antidiagonal, its entries rationals times roots of unity of
@@ -33,6 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .endo2 import (DEFAULT_DEGREE_CAP, PlaneEndo, commutes, compose,
                     extends_to_p2, iterate)
@@ -311,11 +318,13 @@ def _match_ex2(f1, f2, order, centred):
     return None
 
 
+def _homogeneous(h: PlaneEndo) -> bool:
+    return all(sum(e) == h.degree
+               for comp in (h.comp1, h.comp2) for e in comp.terms)
+
+
 def _match_ex3(f1, f2, order, centred):
-    centre, h1, h2 = centred  # h_i = affine_conjugate(f_i, centre)
-    if any(sum(e) != h.degree for h in (h1, h2)
-           for comp in (h.comp1, h.comp2) for e in comp.terms):
-        return None  # not homogeneous
+    centre, h1, h2 = centred  # homogeneous h_i = affine_conjugate(f_i, centre)
     lam1 = h1.comp1.leading_coefficient()
     lam2 = h2.comp1.leading_coefficient()
     bind = {"z1": MPoly.var("s"), "z2": MPoly.var("t")}
@@ -404,9 +413,14 @@ def recognize(f1: PlaneEndo, f2: PlaneEndo,
         # no shift clears the degree-(d-1) part: only Ex4 can match
         matchers, centred = [_match_ex4], None
     else:
-        matchers = [_match_ex1, _match_ex2, _match_ex3, _match_ex4]
         centred = (centre, affine_conjugate(f1, centre),
                    affine_conjugate(f2, centre))
+        # Ex1 and Ex2 compare linear conjugates of the centred maps with
+        # normal forms that are not homogeneous; Ex3's are
+        if _homogeneous(centred[1]) and _homogeneous(centred[2]):
+            matchers = [_match_ex3, _match_ex4]
+        else:
+            matchers = [_match_ex1, _match_ex2, _match_ex4]
     for matcher in matchers:
         verdict = matcher(f1, f2, order, centred)
         if verdict:
@@ -448,14 +462,9 @@ class SearchSummary:
         }
 
 
+# parameters of the degree-d grid maps; the grid of a coefficient set holds
+# every tuple of them, in lexicographic order
 _GRID_PARAMS = {2: 4, 3: 3}
-
-
-def _grid_maps(d: int, coeffs):
-    """Parameter tuples of the monic-top support grid of degree d."""
-    if d not in _GRID_PARAMS:
-        raise ValueError("grid supports degrees 2 and 3 only")
-    return list(itertools.product(sorted(coeffs), repeat=_GRID_PARAMS[d]))
 
 
 def _grid_endo(d: int, params):
@@ -523,10 +532,18 @@ def _separable_system(d1: int, d2: int):
     return f_only, lhs, rhs
 
 
+class _PartnerSystem(NamedTuple):
+    conditions: tuple  # integer terms that vanish at f's parameters u
+    partner: tuple     # integer terms: g's parameters times den
+    den: int
+    is_f: bool         # partner(u) / den == u: g is f itself
+    own: tuple         # per parameter k: (conditions, partner) in u_k alone
+
+
 @functools.cache
-def _partner_system(d1: int, d2: int):
+def _partner_system(d1: int, d2: int) -> _PartnerSystem:
     """`_separable_system` solved for the v once, as integer terms (see
-    `_evaluate`): (conditions, partner, den).
+    `_evaluate`).
 
     f has a partner only when every condition vanishes at f's parameters
     u, and then the partner's parameters are partner(u) / den.  lhs has
@@ -550,26 +567,50 @@ def _partner_system(d1: int, d2: int):
                        for q in f_only + consistency)
     solution = [-combine(row) for row in inverse]
     den = _denominator(solution)
-    return (conditions,
-            tuple(_integer_terms(q, us, den) for q in solution), den)
+    partner = tuple(_integer_terms(q, us, den) for q in solution)
+
+    def alone(k, polys):
+        return tuple(p for p in polys
+                     if all(i == k for _c, fs in p for i, _e in fs))
+
+    return _PartnerSystem(
+        conditions, partner, den,
+        d1 == d2 and solution == [MPoly.var(u) for u in us],
+        tuple((alone(k, conditions), alone(k, partner))
+              for k in range(len(us))))
 
 
-def _candidate_pairs(d1: int, d2: int, maps1, maps2):
-    """The (f, g) whose parameters satisfy the separable conditions; when
-    d1 == d2, only g after f in the grid."""
-    conditions, partner, den = _partner_system(d1, d2)
-    index2 = {m: j for j, m in enumerate(maps2)}
+def _candidate_pairs(d1: int, d2: int, coeffs):
+    """The (f, g) parameter tuples over the sorted coeffs that satisfy the
+    separable conditions, f in grid order; when d1 == d2, only g after f.
+
+    Each parameter of f first keeps the values at which its own conditions
+    vanish and its own partner coordinates land in the grid; each f of the
+    product of those values is then checked on every condition and every
+    partner coordinate.
+    """
+    system = _partner_system(d1, d2)
+    if system.is_f:
+        return []  # the search pairs distinct maps
+    den = system.den
+    grid = {c: c for c in coeffs}
+
+    def lookup(x):
+        """The grid's number x / den, or None."""
+        return grid.get(Fraction(x, den))
+
+    axes = [[x for x in coeffs
+             if not any(_evaluate(p, {k: x}) for p in conditions)
+             and all(lookup(_evaluate(p, {k: x})) is not None
+                     for p in partner)]
+            for k, (conditions, partner) in enumerate(system.own)]
     pairs = []
-    for i, u in enumerate(maps1):
-        if any(_evaluate(p, u) for p in conditions):
+    for u in itertools.product(*axes):
+        if any(_evaluate(p, u) for p in system.conditions):
             continue
-        v = [_evaluate(p, u) for p in partner]
-        # a Fraction per parameter when den == 1 too would make the
-        # whole seed grid-search stream take about 1.6 times as long
-        j = index2.get(tuple(v) if den == 1 else
-                       tuple(Fraction(x, den) for x in v))
-        if j is not None and (d1 != d2 or j > i):
-            pairs.append((u, maps2[j]))
+        v = tuple(lookup(_evaluate(p, u)) for p in system.partner)
+        if None not in v and (d1 != d2 or v > u):
+            pairs.append((u, v))
     return pairs
 
 
@@ -581,15 +622,15 @@ def search(degree_pair, coefficient_set, report_sink=None,
     summary = SearchSummary((d1, d2), coeffs)
     if not coeffs:
         return summary
-    maps1 = _grid_maps(d1, coeffs)
-    maps2 = maps1 if d1 == d2 else _grid_maps(d2, coeffs)
-    n1, n2 = len(maps1), len(maps2)
+    if not {d1, d2} <= _GRID_PARAMS.keys():
+        raise ValueError("grid supports degrees 2 and 3 only")
+    n1, n2 = (len(coeffs) ** _GRID_PARAMS[d] for d in (d1, d2))
     total = n1 * (n1 - 1) // 2 if d1 == d2 else n1 * n2
     if pair_budget is not None and total > pair_budget:
         summary.total_pairs = pair_budget
         raise BudgetExceeded("pair budget exhausted", partial=summary)
     summary.total_pairs = total
-    candidates = _candidate_pairs(d1, d2, maps1, maps2)
+    candidates = _candidate_pairs(d1, d2, coeffs)
     summary.probe_pass = len(candidates)
 
     for m1, m2 in candidates:

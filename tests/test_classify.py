@@ -1,5 +1,6 @@
 """Affine conjugation, iterate disjointness, pair recognition, grid search."""
 
+import collections
 import itertools
 from fractions import Fraction
 
@@ -16,9 +17,9 @@ from commend.endo2 import (PlaneEndo, commutes, compose, extends_to_p2,
 from commend.errors import PreconditionViolated
 from commend.families import chebyshev, ex1, ex2, ex4_descend
 from commend.field import _solve_linear
-from commend.mpoly import MPoly
+from commend.mpoly import MPoly, session_order
 from commend.parse import parse_map_pair
-from test_reports import criterion_10_base
+from test_reports import criterion_10_base, ex3_scaled
 
 X = MPoly.var("x")
 
@@ -37,6 +38,58 @@ scales = st.sampled_from([Fraction(x) for x in
 translations = st.sampled_from([Fraction(x) for x in
                                 ("0", "1", "-1", "1/2", "-1/3")])
 CRITERION_10_BASE = criterion_10_base()
+
+
+def fixed_order_verdict(f1, f2):
+    """(tag, params, conjugation) of the first of Ex1, Ex2, Ex3 and Ex4 that
+    matches the centred pair, Ex3 only when both centred maps are
+    homogeneous (Ex4 alone when no shift centres f1)."""
+    centre = classify._translation(f1)
+    if centre is None:
+        matchers, centred = [classify._match_ex4], None
+    else:
+        centred = (centre, affine_conjugate(f1, centre),
+                   affine_conjugate(f2, centre))
+        homogeneous = all(sum(e) == h.degree for h in centred[1:]
+                          for c in (h.comp1, h.comp2) for e in c.terms)
+
+        def ex3(*args):
+            return classify._match_ex3(*args) if homogeneous else None
+
+        matchers = [classify._match_ex1, classify._match_ex2, ex3,
+                    classify._match_ex4]
+    order = session_order(f1.comp1, f1.comp2, f2.comp1, f2.comp2)
+    for matcher in matchers:
+        v = matcher(f1, f2, order, centred)
+        if v:
+            return v.tag, v.params, v.conjugation
+    return "Unknown", None, None
+
+
+def _conjugated(pair, kind, p, q, t1, t2):
+    s = kind(p, q, (t1, t2))
+    return tuple(affine_conjugate(f, s) for f in pair)
+
+
+_group = (st.sampled_from([AffineConj.diagonal, AffineConj.antidiagonal]),
+          scales, scales, translations, translations)
+# the five pairs the search over the (2,3) grid of -4..4 recognises
+GRID_PAIRS = [
+    ("(z1^2 - 2*z2, z2^2)", "(z1^3 - 3*z1*z2, z2^3)"),
+    ("(z1^2 - 2, z2^2 - 2)", "(z1^3 - 3*z1, z2^3 - 3*z2)"),
+    ("(z1^2 - 2, z2^2)", "(z1^3 - 3*z1, z2^3)"),
+    ("(z1^2, z2^2 - 2)", "(z1^3, z2^3 - 3*z2)"),
+    ("(z1^2, z2^2)", "(z1^3, z2^3)"),
+]
+oracle_pairs = st.one_of(
+    st.builds(_conjugated, st.sampled_from(CRITERION_10_BASE).map(
+        lambda base: base[1:]), *_group),
+    st.builds(_conjugated, st.builds(
+        ex3_scaled, st.sampled_from(["power", "chebyshev"]),
+        st.sampled_from([(2, 3), (3, 2), (2, 5)]),
+        st.sampled_from([Fraction(x) for x in ("-1", "2", "-2", "1/2")])),
+        *_group),
+    st.sampled_from([tuple(map(endo, pair)) for pair in GRID_PAIRS]))
 
 
 class TestAffineConj:
@@ -154,6 +207,17 @@ class TestRecognize:
         h2 = affine_conjugate(g2, v.conjugation)
         assert (h1, h2) == _normal_forms(v, h1, h2)
 
+    @given(oracle_pairs)
+    @example(ex3_scaled("chebyshev", (2, 3), 2))
+    @example(tuple(map(endo, GRID_PAIRS[-1])))
+    @settings(max_examples=40, deadline=None)
+    def test_matcher_choice_matches_the_fixed_order(self, pair):
+        # Ex1 and Ex2 when the centred pair is not homogeneous, Ex3 when it
+        # is, and Ex4 either way: the verdict of all four in a row
+        f1, f2 = pair
+        v = recognize(f1, f2)
+        assert (v.tag, v.params, v.conjugation) == fixed_order_verdict(f1, f2)
+
 
 def _normal_forms(v, h1, h2):
     """The pair of normal forms named by a verdict's params (for Ex3, the
@@ -219,6 +283,12 @@ def brute_force_search(degrees, coeffs):
     return out
 
 
+def grid_tuples(d, coeffs):
+    """The parameter tuples of the degree-d grid, in grid order."""
+    return list(itertools.product(sorted(coeffs),
+                                  repeat=classify._GRID_PARAMS[d]))
+
+
 def per_map_candidate_pairs(d1, d2, maps1, maps2):
     """The candidate pairs by evaluating the separable system at each f and
     solving it for g's parameters."""
@@ -250,11 +320,11 @@ class TestSearch:
 
     def test_partner_system_anchors(self):
         def partner(d1, d2, params):
-            conditions, partner, den = classify._partner_system(d1, d2)
-            if any(classify._evaluate(p, params) for p in conditions):
+            system = classify._partner_system(d1, d2)
+            if any(classify._evaluate(p, params) for p in system.conditions):
                 return None
-            return [Fraction(classify._evaluate(p, params), den)
-                    for p in partner]
+            return [Fraction(classify._evaluate(p, params), system.den)
+                    for p in system.partner]
 
         # (2,2) and (3,3) force g == f; (2,3) forces c == 0 and
         # (A, B, D) == 3/2 (a, b, e)
@@ -262,7 +332,9 @@ class TestSearch:
         assert partner(3, 3, (1, -2, 3)) == [1, -2, 3]
         assert partner(2, 3, (2, 4, 0, 6)) == [3, 6, 9]
         assert partner(2, 3, (2, 4, 1, 6)) is None
-        assert classify._partner_system(2, 3)[2] == 2
+        assert classify._partner_system(2, 3).den == 2
+        assert [classify._partner_system(*d).is_f for d in
+                ((2, 2), (3, 3), (2, 3), (3, 2))] == [True, True, False, False]
         # probe_pass counts the solved pairs: c == 0 and a, b, e in {0, 2}
         assert search((2, 3), [0, 2, 3]).probe_pass == 8
 
@@ -278,10 +350,11 @@ class TestSearch:
     @example((3, 3), {-1, 0, 1}, set())
     def test_candidates_match_per_map_solve(self, degrees, ints, fractions):
         # the solved system finds the pairs a solve per map of the grid finds
-        maps = {d: classify._grid_maps(d, ints | fractions) for d in (2, 3)}
-        args = (*degrees, maps[degrees[0]], maps[degrees[1]])
-        assert classify._candidate_pairs(*args) == \
-            per_map_candidate_pairs(*args)
+        coeffs = sorted(ints | fractions)
+        maps = {d: grid_tuples(d, coeffs) for d in (2, 3)}
+        assert classify._candidate_pairs(*degrees, coeffs) == \
+            per_map_candidate_pairs(*degrees, maps[degrees[0]],
+                                    maps[degrees[1]])
 
     def test_tall_system_rows_become_conditions(self, monkeypatch):
         # u0 and v0 also weigh z2 in the first component and z1 in the
@@ -299,12 +372,12 @@ class TestSearch:
         try:
             f_only, lhs, _rhs = classify._separable_system(2, 3)
             assert len(lhs) > len(lhs[0])
-            conditions = classify._partner_system(2, 3)[0]
+            conditions = classify._partner_system(2, 3).conditions
             assert len(conditions) > len(f_only)
-            maps1 = classify._grid_maps(2, [-1, 0, 1, 3])
-            maps2 = classify._grid_maps(3, [-1, 0, 1, 3])
-            pairs = classify._candidate_pairs(2, 3, maps1, maps2)
-            assert pairs == per_map_candidate_pairs(2, 3, maps1, maps2)
+            coeffs = [-1, 0, 1, 3]
+            pairs = classify._candidate_pairs(2, 3, coeffs)
+            assert pairs == per_map_candidate_pairs(
+                2, 3, grid_tuples(2, coeffs), grid_tuples(3, coeffs))
             assert pairs and all(f[0] == 0 for f, _g in pairs)
         finally:
             classify._partner_system.cache_clear()
@@ -325,6 +398,34 @@ class TestSearch:
                 search((2, 3), [0, 1])
         finally:
             classify._partner_system.cache_clear()
+
+    def test_exact_checks_run_on_every_candidate(self, monkeypatch):
+        # search screens nothing past the separable conditions: every
+        # candidate meets commutes, and every disjoint pair meets recognize
+        # with its own precondition checks
+        calls = collections.Counter()
+        inside = []
+        real_commutes, real_recognize = classify.commutes, classify.recognize
+
+        def counting_commutes(f1, f2):
+            calls["recognize commutes" if inside else "search commutes"] += 1
+            return real_commutes(f1, f2)
+
+        def counting_recognize(*args):
+            calls["recognize"] += 1
+            inside.append(True)
+            try:
+                return real_recognize(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(classify, "commutes", counting_commutes)
+        monkeypatch.setattr(classify, "recognize", counting_recognize)
+        summary = search((3, 2), range(-3, 4))
+        assert summary.probe_pass > summary.commuting > 0
+        assert calls == {"search commutes": summary.probe_pass,
+                         "recognize": summary.disjoint,
+                         "recognize commutes": summary.disjoint}
 
     def test_tiny_grid_vacuous(self):
         summary = search((2, 2), [-1, 0, 1])

@@ -1,8 +1,8 @@
 """Golden stdout reports: the README commands, `classify` on the forty
 criterion-10 pairs, the P^1 commands, the critical-curve commands, the
 image curves of maps outside the families below, the portraits of Lattes
-maps induced on quotients and a larger search grid, run in-process
-through `cli.main`.
+maps induced on quotients, a conjugated Ex3 pair with scalars other than 1
+and larger search grids, run in-process through `cli.main`.
 
 `tests/data/reports.txt` holds, for each command, a `$ commend ...` line and
 the exact stdout bytes of the report.  Regenerate it (only when a report is
@@ -15,6 +15,7 @@ import contextlib
 import io
 import random
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 from commend.classify import AffineConj, affine_conjugate
@@ -36,9 +37,15 @@ README_COMMANDS = [
     ["search", "--degrees", "2,3", "--coeffs=-4..4"],
 ]
 
-# the (2,3) grid over -10..10: 1 801 088 541 pairs, 343 solved partners
+# the (2,3) grid over -10..10: 1 801 088 541 pairs, 343 solved partners;
+# the (2,2) and (3,3) grids, whose solved partner is f itself; the (3,2)
+# grid, 125 solved partners and 5 commuting pairs; a (2,3) grid without 0
 SEARCH_COMMANDS = [
     ["search", "--degrees", "2,3", "--coeffs=-10..10"],
+    ["search", "--degrees", "2,2", "--coeffs=-12..12"],
+    ["search", "--degrees", "3,3", "--coeffs=-6..6"],
+    ["search", "--degrees", "3,2", "--coeffs=-6..6"],
+    ["search", "--degrees", "2,3", "--coeffs=1..6"],
 ]
 
 
@@ -138,8 +145,19 @@ def portrait_maps():
     ]
 
 
-def _power_line_map(d):
-    return RatMap1(parse_poly(f"s^{d}"), parse_poly(f"t^{d}"))
+def line_map(kind, d):
+    """The power or the monic Chebyshev line map of degree d."""
+    if kind == "power":
+        return RatMap1(parse_poly(f"s^{d}"), parse_poly(f"t^{d}"))
+    return RatMap1.from_polynomial(chebyshev(d, "monic"))
+
+
+def ex3_scaled(kind, degrees, t):
+    """The lift of the line maps of one kind and degrees (a, b) with the
+    scalars t^(a-1) and t^(b-1)."""
+    a, b = degrees
+    return ex3_lift(line_map(kind, a), line_map(kind, b), t**(a - 1),
+                    t**(b - 1))
 
 
 def criterion_10_base():
@@ -153,7 +171,7 @@ def criterion_10_base():
               ((2, "straight"), (3, "swap")),
               ((3, "straight"), (5, "straight")),
               ((2, "swap"), (3, "swap"))]]
-    base += [("Ex3", *ex3_lift(_power_line_map(a), _power_line_map(b)))
+    base += [("Ex3", *ex3_lift(line_map("power", a), line_map("power", b)))
              for a, b in [(2, 3), (2, 5), (3, 4), (3, 5)]]
     base += [("Ex4", ex4_descend(h1), ex4_descend(h2)) for h1, h2 in
              [(x**2, x**3), (x**2, x**5), (x**3, x**4),
@@ -178,12 +196,23 @@ def criterion_10_pairs():
     return pairs
 
 
+def ex3_scaled_command():
+    """classify on the scalar lift, with scalars 2 and 4, of the monic
+    Chebyshev line maps of degrees 2 and 3, moved by a diagonal scale and a
+    shift."""
+    s = AffineConj.diagonal(2, -3, (1, Fraction(-1, 2)))
+    f1, f2 = (affine_conjugate(f, s)
+              for f in ex3_scaled("chebyshev", (2, 3), 2))
+    return ["classify", "--f", f"({f1.comp1}, {f1.comp2})",
+            "--g", f"({f2.comp1}, {f2.comp2})"]
+
+
 def critical_layer_pairs():
     """One pair of each family, moved by an affine conjugation with a
     translation, for the critical-curve commands."""
     base = [ex1(2, 3, 1),
             (ex2(2, "straight"), ex2(3, "straight")),
-            ex3_lift(_power_line_map(2), _power_line_map(3)),
+            ex3_lift(line_map("power", 2), line_map("power", 3)),
             (ex4_descend(MPoly.var("x")**2), ex4_descend(MPoly.var("x")**3)),
             (ex4_descend(chebyshev(2, "monic")),
              ex4_descend(chebyshev(3, "monic")))]
@@ -234,7 +263,7 @@ def golden_commands():
     # the first two portraits are among the README and P^1 commands
     portraits = [["portrait", "--map", m, "--orbifold", o]
                  for m, o, _case in portrait_maps()[2:]]
-    return (README_COMMANDS + classify + P1_COMMANDS
+    return (README_COMMANDS + classify + [ex3_scaled_command()] + P1_COMMANDS
             + critical_layer_commands() + IMAGE_CURVE_COMMANDS + portraits
             + SEARCH_COMMANDS)
 
