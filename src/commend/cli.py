@@ -60,8 +60,13 @@ def _line_map(session: Session, text: str) -> rat1.RatMap1:
         return rat1.RatMap1.from_polynomial(
             families.chebyshev(int(text[6:]), "classical"))
     if text.startswith("lattes:"):
-        a, b, n = text[7:].split(",")
-        curve = families.EllipticCurveData(Fraction(a), Fraction(b))
+        values = text[7:].split(",")
+        if len(values) != 3:
+            raise ParseError("the lattes:a,b,n shorthand takes three "
+                             f"comma-separated values, not {len(values)}", 0)
+        a, b, n = values
+        curve = families.EllipticCurveData(_constant(session, a),
+                                           _constant(session, b))
         return families.elliptic_lattes(curve, int(n))
     if text.startswith("(") and text.endswith(")"):
         p, q = parse_map_pair(text, session.cyclotomic_order)

@@ -2,7 +2,8 @@
 
 Covers coordinate-split Chebyshev/power pairs, scalar lifts of commuting
 line maps, the symmetric two-sheeted descent, and elliptic multiplication
-maps built from division polynomials.
+maps, built from the x-only division polynomials on the dense list kernel
+with no gcd (see `elliptic_lattes`).
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from dataclasses import dataclass
 from .endo2 import PlaneEndo, commutes
 from .errors import (NotCommuting, NotSplit, NotSymmetric, PreconditionViolated,
                      ScalarNotSolvable)
-from .field import Coefficient, kth_roots
-from .mpoly import MPoly, gcd_poly, rational_roots
-from .rat1 import POINT_INF, Orbifold1, RatMap1, affine_point, homogenise
+from .field import Coefficient, _dense_sub, dense_mul, kth_roots
+from .mpoly import MPoly, kernel_lists, rational_roots
+from .rat1 import POINT_INF, Orbifold1, RatMap1, _form_from_dense, affine_point
 
 X, Y = MPoly.var("x"), MPoly.var("y")
 Z1, Z2 = MPoly.var("z1"), MPoly.var("z2")
@@ -228,77 +229,71 @@ class EllipticCurveData:
         return X**3 + X.scale(self.a) + MPoly.constant(self.b)
 
 
-def _division_polys(curve: EllipticCurveData, upto: int):
-    """psi_0..psi_upto reduced modulo y^2 = x^3 + a*x + b (y-degree <= 1)."""
-    B = curve.cubic()
-    y = Y
+def _division_lists(curve: EllipticCurveData, n: int):
+    """(f, F) with F = 4(x^3 + a*x + b) and f = {k: f_k} for the k that
+    f_(n-1), f_n and f_(n+1) need, as coefficient lists in x: f_k = psi_k
+    for odd k and psi_k / (2y) for even k.  The recurrences are those of
+    psi_k with (2y)^2 replaced by F."""
+    (a, b), = kernel_lists([curve.a, curve.b])
+    F = [4 * b, 4 * a, 0, 4]
+    f = {0: [], 1: [1], 2: [1], 3: [-a * a, 12 * b, 6 * a, 0, 3],
+         4: [-2 * (8 * b * b + a**3), -8 * a * b, -10 * a * a, 40 * b, 10 * a,
+             0, 2]}
 
-    def reduce(p: MPoly) -> MPoly:
-        while p.depends_on("y") and p.degree_in("y") >= 2:
-            buckets = p.univariate_in("y")
-            out = MPoly.zero()
-            for k, coeff in enumerate(buckets):
-                q, r = divmod(k, 2)
-                out = out + coeff * (B**q) * (y**r)
-            p = out
-        return p
+    def get(k: int) -> list:
+        if k not in f:
+            m = k // 2
+            lo2, lo, mid, hi, hi2 = (get(i) for i in range(m - 2, m + 3))
+            if k % 2 == 0:  # f_2m = f_m (f_(m+2) f_(m-1)^2 - f_(m-2) f_(m+1)^2)
+                f[k] = dense_mul(mid, _dense_sub(_mul(hi2, lo, lo),
+                                                 _mul(lo2, hi, hi)))
+            else:  # f_2m+1 = f_(m+2) f_m^3 - f_(m-1) f_(m+1)^3, with F^2
+                # = (2y)^4 on the product whose indices are even
+                up, down = _mul(hi2, mid, mid, mid), _mul(lo, hi, hi, hi)
+                if m % 2:
+                    down = _mul(F, F, down)
+                else:
+                    up = _mul(F, F, up)
+                f[k] = _dense_sub(up, down)
+        return f[k]
 
-    a, b = curve.a, curve.b
-    psi = {
-        0: MPoly.zero(),
-        1: MPoly.one(),
-        2: y.scale(2),
-        3: (X**4).scale(3) + (X**2).scale(a * 6) + X.scale(b * 12)
-           - MPoly.constant(a**2),
-    }
-    psi[4] = y.scale(4) * (
-        X**6 + (X**4).scale(a * 5) + (X**3).scale(b * 20)
-        - (X**2).scale(a**2 * 5) - X.scale(a * b * 4)
-        - MPoly.constant(b**2 * 8 + a**3))
-    psi[-1] = -psi[1]
-    psi[-2] = -psi[2]
-
-    def get(n: int) -> MPoly:
-        if n in psi:
-            return psi[n]
-        if n % 2 == 1:
-            m = (n - 1) // 2
-            val = reduce(get(m + 2) * get(m)**3 - get(m - 1) * get(m + 1)**3)
-        else:
-            m = n // 2
-            num = reduce(get(m) * (get(m + 2) * get(m - 1)**2
-                                   - get(m - 2) * get(m + 1)**2))
-            # true value is 2*y*psi_n with psi_n = y*g; reduction turns the
-            # product into 2*B*g, so divide out 2*B and restore the y factor
-            val = y * num.exact_divide(B.scale(2))
-        psi[n] = val
-        return val
-
-    for k in range(upto + 1):
+    for k in (n - 1, n, n + 1):
         get(k)
-    return psi, reduce
+    return f, F
+
+
+def _mul(p: list, *others: list) -> list:
+    for q in others:
+        p = dense_mul(p, q)
+    return p
 
 
 def elliptic_lattes(curve: EllipticCurveData, n: int) -> RatMap1:
-    """x-coordinate action of multiplication by n; degree n^2."""
+    """x-coordinate action of multiplication by n; degree n^2.
+
+    x([n]P) = (x psi_n^2 - psi_(n-1) psi_(n+1)) / psi_n^2 (Washington,
+    Elliptic Curves, 2nd ed., section 3.2).  In the lists of
+    `_division_lists`: for odd n, den = f_n^2 and num = x den - F f_(n-1)
+    f_(n+1); for even n, den = F f_n^2 and num = x den - f_(n-1) f_(n+1).
+
+    No gcd is taken, as num and den are coprime on a nonsingular curve:
+    x o [n] = (num / den) o x, where x has degree 2 and [n] degree n^2
+    (Silverman, The Arithmetic of Elliptic Curves, III.6.2(d)), so num /
+    den has degree n^2, which is the degree of num (den has degree
+    n^2 - 1).  `RatMap1` checks that the forms share no zero.
+    """
     if n < 1:
         raise PreconditionViolated("n must be at least 1")
     if n == 1:
         return RatMap1.identity()
-    psi, reduce = _division_polys(curve, n + 1)
-    num = reduce(X * psi[n]**2 - psi[n - 1] * psi[n + 1])
-    den = reduce(psi[n]**2)
-    if num.depends_on("y") or den.depends_on("y"):
-        raise AssertionError("the x-coordinate of [n]P still depends on y")
-    g = gcd_poly(num, den)
-    if not g.is_constant():
-        num = num.exact_divide(g)
-        den = den.exact_divide(g)
-    deg = n * n
-    r = RatMap1(homogenise(den, deg), homogenise(num, deg))
-    if r.degree != deg:
-        raise AssertionError(f"multiplication by {n} has degree {r.degree}, not {deg}")
-    return r
+    f, F = _division_lists(curve, n)
+    cross = _mul(f[n - 1], f[n + 1])
+    den = _mul(f[n], f[n]) if n % 2 else _mul(F, f[n], f[n])
+    num = _dense_sub([0] + den, _mul(F, cross) if n % 2 else cross)
+    deg, got = n * n, max(len(num), len(den)) - 1
+    if got != deg:
+        raise AssertionError(f"multiplication by {n} has degree {got}, not {deg}")
+    return RatMap1(_form_from_dense(den, deg), _form_from_dense(num, deg))
 
 
 def two_torsion_orbifold(curve: EllipticCurveData) -> Orbifold1:

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from commend.cli import main
+from commend.cli import Session, _line_map, main
+from commend.parse import parse_poly
 
 DESC_F = "(z1^2 - 2*z2, z2^2)"
 DESC_G = "(z1^3 - 3*z1*z2, z2^3)"
@@ -179,3 +180,48 @@ class TestReports:
         assert code == 0
         pair = rep["result"]["pairs"][0]
         assert (pair["f1"], pair["f2"]) == ("(z1^2, z2^2)", "(z1^3, z2^3)")
+
+
+def _report(lines):
+    return "\n".join(lines) + "\n"
+
+
+class TestLattesShorthand:
+    """`lattes:a,b,n` reads a and b with the expression grammar of the
+    session, as `lattes --a --b` does; the expected bytes are written out."""
+
+    @pytest.mark.parametrize("argv, code, stdout", [
+        (["--cyclotomic", "3", "classify-p1", "--map=lattes:w,1,2"], 1,
+         _report(['{', '  "command": "classify-p1",', '  "result": {',
+                  '    "class": "Unknown"', '  }', '}'])),
+        (["classify-p1", "--map=lattes:1,2"], 2,
+         _report(['{', '  "command": "classify-p1",',
+                  '  "error": "the lattes:a,b,n shorthand takes three '
+                  'comma-separated values, not 2 (at offset 0)",',
+                  '  "kind": "ParseError"', '}'])),
+        (["classify-p1", "--map=lattes:-1,0,2,7"], 2,
+         _report(['{', '  "command": "classify-p1",',
+                  '  "error": "the lattes:a,b,n shorthand takes three '
+                  'comma-separated values, not 4 (at offset 0)",',
+                  '  "kind": "ParseError"', '}'])),
+        (["classify-p1", "--map=lattes:1.5,0,2"], 2,
+         _report(['{', '  "command": "classify-p1",',
+                  '  "error": "unexpected character \'.\' (at offset 1)",',
+                  '  "kind": "ParseError"', '}'])),
+        (["classify-p1", "--map=lattes:1e1,0,2"], 2,
+         _report(['{', '  "command": "classify-p1",',
+                  '  "error": "unexpected token \'e1\' (at offset 1)",',
+                  '  "kind": "ParseError"', '}'])),
+    ])
+    def test_report_bytes(self, capsys, argv, code, stdout):
+        assert main(argv) == code
+        assert capsys.readouterr().out == stdout
+
+    def test_cyclotomic_map_is_the_lattes_command_map(self, capsys):
+        code, rep = run(capsys, "--cyclotomic", "3", "lattes", "--a", "w",
+                        "--b", "1", "--n", "2")
+        assert code == 0
+        form_s, form_t = rep["result"]["map"].strip("[]").split(" : ")
+        r = _line_map(Session(3), "lattes:w,1,2")
+        assert r.formS == parse_poly(form_s, 3)
+        assert r.formT == parse_poly(form_t, 3)

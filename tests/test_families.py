@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,11 @@ from commend.errors import (NotCommuting, NotSplit, NotSymmetric,
 from commend.families import (EllipticCurveData, chebyshev, elliptic_lattes,
                               ex1, ex2, ex3_lift, ex4_descend, sym_reduce,
                               symmetrization, two_torsion_orbifold)
-from commend.mpoly import MPoly
+from commend.field import Coefficient
+from commend.mpoly import MPoly, gcd_poly
 from commend.parse import parse_poly
-from commend.rat1 import RatMap1, classify_infinity, commutes1, compose1
+from commend.rat1 import (RatMap1, classify_infinity, commutes1, compose1,
+                          homogenise)
 
 X, Y = MPoly.var("x"), MPoly.var("y")
 
@@ -171,8 +174,99 @@ class TestEx4:
             ex4_descend(X ** (a * b))
 
 
+def _division_polys(curve: EllipticCurveData, upto: int):
+    """psi_0..psi_upto in x and y, reduced modulo y^2 = x^3 + a*x + b
+    (y-degree <= 1): the bivariate builder, kept as the oracle."""
+    B = curve.cubic()
+    y = Y
+
+    def reduce(p: MPoly) -> MPoly:
+        while p.depends_on("y") and p.degree_in("y") >= 2:
+            buckets = p.univariate_in("y")
+            out = MPoly.zero()
+            for k, coeff in enumerate(buckets):
+                q, r = divmod(k, 2)
+                out = out + coeff * (B**q) * (y**r)
+            p = out
+        return p
+
+    a, b = curve.a, curve.b
+    psi = {
+        0: MPoly.zero(),
+        1: MPoly.one(),
+        2: y.scale(2),
+        3: (X**4).scale(3) + (X**2).scale(a * 6) + X.scale(b * 12)
+           - MPoly.constant(a**2),
+    }
+    psi[4] = y.scale(4) * (
+        X**6 + (X**4).scale(a * 5) + (X**3).scale(b * 20)
+        - (X**2).scale(a**2 * 5) - X.scale(a * b * 4)
+        - MPoly.constant(b**2 * 8 + a**3))
+    psi[-1] = -psi[1]
+    psi[-2] = -psi[2]
+
+    def get(n: int) -> MPoly:
+        if n in psi:
+            return psi[n]
+        if n % 2 == 1:
+            m = (n - 1) // 2
+            val = reduce(get(m + 2) * get(m)**3 - get(m - 1) * get(m + 1)**3)
+        else:
+            m = n // 2
+            num = reduce(get(m) * (get(m + 2) * get(m - 1)**2
+                                   - get(m - 2) * get(m + 1)**2))
+            # true value is 2*y*psi_n with psi_n = y*g; reduction turns the
+            # product into 2*B*g, so divide out 2*B and restore the y factor
+            val = y * num.exact_divide(B.scale(2))
+        psi[n] = val
+        return val
+
+    for k in range(upto + 1):
+        get(k)
+    return psi, reduce
+
+
+def oracle_lattes(curve: EllipticCurveData, n: int) -> RatMap1:
+    """x([n]P) from the bivariate division polynomials, with the common
+    factor of numerator and denominator divided out by a gcd."""
+    if n == 1:
+        return RatMap1.identity()
+    psi, reduce = _division_polys(curve, n + 1)
+    num = reduce(X * psi[n]**2 - psi[n - 1] * psi[n + 1])
+    den = reduce(psi[n]**2)
+    assert not num.depends_on("y") and not den.depends_on("y")
+    g = gcd_poly(num, den)
+    if not g.is_constant():
+        num = num.exact_divide(g)
+        den = den.exact_divide(g)
+    return RatMap1(homogenise(den, n * n), homogenise(num, n * n))
+
+
+W3 = Coefficient.root_of_unity(3)
+
+
 class TestLattes:
     CURVE = EllipticCurveData(-1, 0)
+
+    # y^2 = x^3 - x, (x + 3)(x - 1)(x - 2), (x + 4)(x - 1)(x - 3), an
+    # irreducible cubic, a curve with j = 0, and two non-integral curves
+    ORACLE_CURVES = [(-1, 0), (-7, 6), (-13, 12), (1, 1), (0, 1),
+                     (Fraction(1, 2), Fraction(-3, 4)),
+                     (Fraction(-19, 36), Fraction(5, 36))]
+
+    @pytest.mark.parametrize("a, b", ORACLE_CURVES)
+    def test_forms_equal_the_bivariate_oracle(self, a, b):
+        curve = EllipticCurveData(a, b)
+        for n in range(1, 9):
+            got, want = elliptic_lattes(curve, n), oracle_lattes(curve, n)
+            assert (got.formS, got.formT) == (want.formS, want.formT), n
+
+    @pytest.mark.parametrize("b", [1, Fraction(-2, 3), W3 + 2])
+    def test_forms_equal_the_oracle_over_q_zeta_3(self, b):
+        curve = EllipticCurveData(W3, b)
+        for n in range(1, 6):
+            got, want = elliptic_lattes(curve, n), oracle_lattes(curve, n)
+            assert (got.formS, got.formT) == (want.formS, want.formT), n
 
     def test_duplication_formula(self):
         r = elliptic_lattes(self.CURVE, 2)
@@ -207,3 +301,10 @@ class TestLattes:
     def test_rejects_singular(self):
         with pytest.raises(PreconditionViolated):
             EllipticCurveData(0, 0)
+        with pytest.raises(PreconditionViolated):
+            EllipticCurveData(-3, 2)  # (x - 1)^2 (x + 2)
+
+    def test_rejects_n_below_one(self):
+        for n in (0, -1):
+            with pytest.raises(PreconditionViolated):
+                elliptic_lattes(self.CURVE, n)

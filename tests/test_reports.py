@@ -1,8 +1,9 @@
 """Golden stdout reports: the README commands, `classify` on the forty
 criterion-10 pairs, the P^1 commands, the critical-curve commands, the
 image curves of maps outside the families below, the portraits of Lattes
-maps induced on quotients, a conjugated Ex3 pair with scalars other than 1
-and larger search grids, run in-process through `cli.main`.
+maps induced on quotients, a conjugated Ex3 pair with scalars other than 1,
+larger search grids and the Lattes maps of the division-polynomial builder,
+run in-process through `cli.main`.
 
 `tests/data/reports.txt` holds, for each command, a `$ commend ...` line and
 the exact stdout bytes of the report.  Regenerate it (only when a report is
@@ -89,6 +90,19 @@ P1_COMMANDS = [
     ["--cyclotomic", "3", "classify-p1", "--map=w*x^3"],
     ["--cyclotomic", "3", "orbifold-cover", "--map=w*x^3",
      "--orbifold=inf:inf,0:inf"],
+]
+
+
+# the division-polynomial builder: lattes on y^2 = x^3 - x for n = 2..6, on a
+# curve with non-integral a and b, and over Q(zeta_3); classify-p1 on the
+# degree-25 map; a portrait on y^2 = (x - 1/2)(x - 1/3)(x + 5/6)
+LATTES_COMMANDS = [
+    *(["lattes", "--a", "-1", "--b", "0", "--n", str(k)] for k in range(2, 7)),
+    ["lattes", "--a=1/2", "--b=-3/4", "--n", "3"],
+    ["--cyclotomic", "3", "lattes", "--a", "w", "--b", "1", "--n", "3"],
+    ["classify-p1", "--map=lattes:-1,0,5"],
+    ["portrait", "--map=lattes:-19/36,5/36,2",
+     "--orbifold=inf:2,1/2:2,1/3:2,-5/6:2"],
 ]
 
 
@@ -265,7 +279,7 @@ def golden_commands():
                  for m, o, _case in portrait_maps()[2:]]
     return (README_COMMANDS + classify + [ex3_scaled_command()] + P1_COMMANDS
             + critical_layer_commands() + IMAGE_CURVE_COMMANDS + portraits
-            + SEARCH_COMMANDS)
+            + SEARCH_COMMANDS + LATTES_COMMANDS)
 
 
 def render_reports() -> str:
