@@ -18,8 +18,8 @@ normal form exactly for both maps.  Ex1, Ex2 and Ex3 have normal forms
 without a degree-(d-1) part, so t comes from one linear solve
 (`_translation`) and L from the coefficients of the centred pair; for Ex4, L
 comes from the top forms (the map at infinity) and t from the same solve.
-The matchers follow the shape of the centred pair: Ex3 then Ex4 when both
-centred maps are homogeneous, else Ex1, Ex2, Ex4 (Ex4 alone when no shift
+A pair whose centred maps are both homogeneous is Ex3 (see `recognize`);
+otherwise the matchers Ex1, Ex2, Ex4 run in turn (Ex4 alone when no shift
 centres f1), and the first exact match answers.  That is the verdict of
 Ex1, Ex2, Ex3, Ex4 in a row: Ex1 and Ex2 compare linear conjugates of the
 centred maps, homogeneous when those are, with normal forms that are not,
@@ -43,14 +43,12 @@ from typing import NamedTuple
 
 from .endo2 import (DEFAULT_DEGREE_CAP, PlaneEndo, commutes, compose,
                     extends_to_p2, iterate)
-from .errors import (BudgetExceeded, NotCommuting, PreconditionViolated,
-                     ScalarNotSolvable)
+from .errors import BudgetExceeded, NotCommuting, PreconditionViolated
 from .families import (FamilyTag, chebyshev, chebyshev_conjugacies, ex1,
-                       ex2, ex3_lift, ex4_descend)
+                       ex2, ex4_descend)
 from .field import (Coefficient, _left_inverse, _solve_linear, kth_roots,
                     roots_of_unity)
 from .mpoly import MPoly, session_order
-from .rat1 import RatMap1
 
 Z1, Z2 = MPoly.var("z1"), MPoly.var("z2")
 X, Y = MPoly.var("x"), MPoly.var("y")
@@ -323,24 +321,6 @@ def _homogeneous(h: PlaneEndo) -> bool:
                for comp in (h.comp1, h.comp2) for e in comp.terms)
 
 
-def _match_ex3(f1, f2, order, centred):
-    centre, h1, h2 = centred  # homogeneous h_i = affine_conjugate(f_i, centre)
-    lam1 = h1.comp1.leading_coefficient()
-    lam2 = h2.comp1.leading_coefficient()
-    bind = {"z1": MPoly.var("s"), "z2": MPoly.var("t")}
-    try:
-        r1 = RatMap1(h1.comp1.scale(lam1.inverse()).substitute(bind),
-                     h1.comp2.scale(lam1.inverse()).substitute(bind))
-        r2 = RatMap1(h2.comp1.scale(lam2.inverse()).substitute(bind),
-                     h2.comp2.scale(lam2.inverse()).substitute(bind))
-        g1, g2 = ex3_lift(r1, r2, lam1, lam2)
-    except (ValueError, NotCommuting, ScalarNotSolvable):
-        return None
-    if g1 == h1 and g2 == h2:
-        return Verdict("Ex3", FamilyTag("Ex3", (lam1, lam2)), centre)
-    return None
-
-
 def _descent_poly(g: PlaneEndo):
     """h read off the top forms of g, which for ex4_descend(h) are
     (a*z1^d, a*z1^d*h(z2/z1)) with a the leading coefficient of h; or None."""
@@ -399,6 +379,15 @@ def _match_ex4(f1, f2, order, _centred):
 
 def recognize(f1: PlaneEndo, f2: PlaneEndo,
               degree_cap: int = DEFAULT_DEGREE_CAP) -> Verdict:
+    """The family of the pair and the conjugation to its normal form.
+
+    When a shift centres f1 and both centred maps h_i are homogeneous, the
+    pair is Ex3 with (lam1, lam2) the leading coefficients of the h_i's
+    first components.  Their top forms share no zero, so the line maps
+    r_i = h_i / lam_i are maps of P^1 (`RatMap1`), and h1 o h2 = h2 o h1
+    gives r1 o r2 = c (r2 o r1) with c = lam1^(d2-1) / lam2^(d1-1): the
+    scalar condition of `families.ex3_lift`, whose lift is (h1, h2).
+    """
     if f1.degree < 2 or f2.degree < 2:
         raise PreconditionViolated("both degrees must be at least 2")
     if not commutes(f1, f2):
@@ -413,14 +402,15 @@ def recognize(f1: PlaneEndo, f2: PlaneEndo,
         # no shift clears the degree-(d-1) part: only Ex4 can match
         matchers, centred = [_match_ex4], None
     else:
-        centred = (centre, affine_conjugate(f1, centre),
-                   affine_conjugate(f2, centre))
+        h1, h2 = affine_conjugate(f1, centre), affine_conjugate(f2, centre)
+        if _homogeneous(h1) and _homogeneous(h2):
+            lams = (h1.comp1.leading_coefficient(),
+                    h2.comp1.leading_coefficient())
+            return Verdict("Ex3", FamilyTag("Ex3", lams), centre, degree_cap)
         # Ex1 and Ex2 compare linear conjugates of the centred maps with
-        # normal forms that are not homogeneous; Ex3's are
-        if _homogeneous(centred[1]) and _homogeneous(centred[2]):
-            matchers = [_match_ex3, _match_ex4]
-        else:
-            matchers = [_match_ex1, _match_ex2, _match_ex4]
+        # normal forms that are not homogeneous
+        centred = (centre, h1, h2)
+        matchers = [_match_ex1, _match_ex2, _match_ex4]
     for matcher in matchers:
         verdict = matcher(f1, f2, order, centred)
         if verdict:

@@ -40,8 +40,7 @@ def _poly(session: Session, text: str) -> MPoly:
 def _plane_map(session: Session, text: str) -> endo2.PlaneEndo:
     text = text.strip()
     if text.startswith("cheb:"):
-        d = int(text[5:])
-        t = families.chebyshev(d, "monic")
+        t = families.chebyshev(_integer(text[5:]), "monic")
         return endo2.PlaneEndo(t.substitute({"x": MPoly.var("z1")}),
                                t.substitute({"x": MPoly.var("z2")}))
     if text.startswith("ex4:"):
@@ -55,10 +54,10 @@ def _line_map(session: Session, text: str) -> rat1.RatMap1:
     text = text.strip()
     if text.startswith("cheb:"):
         return rat1.RatMap1.from_polynomial(
-            families.chebyshev(int(text[5:]), "monic"))
+            families.chebyshev(_integer(text[5:]), "monic"))
     if text.startswith("tcheb:"):
         return rat1.RatMap1.from_polynomial(
-            families.chebyshev(int(text[6:]), "classical"))
+            families.chebyshev(_integer(text[6:]), "classical"))
     if text.startswith("lattes:"):
         values = text[7:].split(",")
         if len(values) != 3:
@@ -67,7 +66,7 @@ def _line_map(session: Session, text: str) -> rat1.RatMap1:
         a, b, n = values
         curve = families.EllipticCurveData(_constant(session, a),
                                            _constant(session, b))
-        return families.elliptic_lattes(curve, int(n))
+        return families.elliptic_lattes(curve, _integer(n))
     if text.startswith("(") and text.endswith(")"):
         p, q = parse_map_pair(text, session.cyclotomic_order)
         return rat1.RatMap1(p, q)
@@ -75,6 +74,14 @@ def _line_map(session: Session, text: str) -> rat1.RatMap1:
     p = parse_poly(text, session.cyclotomic_order)
     return rat1.RatMap1.from_polynomial(p.substitute(
         {v: MPoly.var("x") for v in p.vars}))
+
+
+def _integer(text: str) -> int:
+    """An integer written in a shorthand or list; ParseError otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"expected an integer, not {text.strip()!r}", 0)
 
 
 def _constant(session: Session, text: str) -> Coefficient:
@@ -96,7 +103,7 @@ def _orbifold(session: Session, text: str) -> rat1.Orbifold1:
     for piece in text.split(","):
         where, _, weight = piece.rpartition(":")
         point = _point1(session, where)
-        w = inf if weight.strip() == "inf" else int(weight)
+        w = inf if weight.strip() == "inf" else _integer(weight)
         marked.append((point, w))
     return rat1.Orbifold1(tuple(marked))
 
@@ -342,13 +349,13 @@ def _cmd_classify(session, args):
 
 
 def _cmd_search(session, args):
-    degrees = tuple(int(x) for x in args.degrees.split(","))
+    degrees = tuple(_integer(x) for x in args.degrees.split(","))
     text = args.coeffs.strip()
     if ".." in text:
         lo, hi = text.split("..")
-        coeffs = range(int(lo), int(hi) + 1)
+        coeffs = range(_integer(lo), _integer(hi) + 1)
     else:
-        coeffs = [int(x) for x in text.split(",")]
+        coeffs = [_integer(x) for x in text.split(",")]
     summary = _classify.search(degrees, coeffs,
                                degree_cap=session.degree_cap,
                                pair_budget=args.pair_budget)

@@ -9,17 +9,14 @@ finiteness of the critical components, and invariant affine lines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cache
-from itertools import product as iproduct
-from math import prod
 
 from .errors import (DegreeLimitExceeded, NotDivisible, NotExtendable,
                      PreconditionViolated, ZeroJacobian)
-from .field import Coefficient
-from .mpoly import (MPoly, forms_share_zero, gcd_poly, kernel_lists,
-                    rational_roots, resultant, squarefree_decompose,
-                    squarefree_part)
+from .field import Coefficient, _dense_sub, dense_mul, first_relation
+from .mpoly import (MPoly, _dense_derivative, dense_eval, dense_gcd,
+                    dense_rational_roots, forms_share_zero, from_dense,
+                    gcd_poly, kernel_lists, rational_roots, resultant,
+                    squarefree_decompose, squarefree_part)
 
 DEFAULT_DEGREE_CAP = 512
 
@@ -274,86 +271,82 @@ def image_curve(f: PlaneEndo, g: MPoly) -> MPoly:
                     out[e] = out.get(e, 0) + x * y
         return {e: x for e, x in out.items() if x}
 
-    # each row holds a remainder and, under keys (-1, i, j) that sort below
-    # the remainder's, the combination of monomials y1^i y2^j it came from;
-    # a row whose remainder part cancels is a relation
-    rems = {(0, 0): {(0, 0): one}}
-    pivots = {}  # leading key -> row with 1 there
-    for total in range(f.degree * n + 1):
-        for i in range(total, -1, -1):
-            j = total - i
-            if total:
-                rems[i, j] = (times(rems[i - 1, j], c1) if i
-                              else times(rems[0, j - 1], c2))
-            row = {**rems[i, j], (-1, i, j): one}
-            while (pos := max(row)) in pivots:
-                c = row[pos]
-                for e, x in pivots[pos].items():
-                    row[e] = row.get(e, 0) - c * x
-                row = {e: x for e, x in row.items() if x}
-            if pos[0] == -1:
-                return MPoly.make(("z1", "z2"), {
-                    e[1:]: x for e, x in row.items()}).monic()
-            inv = 1 / row[pos]
-            pivots[pos] = {e: x * inv for e, x in row.items()}
-    raise AssertionError("image_curve: no relation within the degree bound")
+    def rows():  # each remainder beside its y1^i y2^j, keyed (-1, i, j)
+        rems = {(0, 0): {(0, 0): one}}
+        for total in range(f.degree * n + 1):
+            for i in range(total, -1, -1):
+                j = total - i
+                if total:
+                    rems[i, j] = (times(rems[i - 1, j], c1) if i
+                                  else times(rems[0, j - 1], c2))
+                yield {**rems[i, j], (-1, i, j): one}
+
+    row = first_relation(rows(), (0,))
+    return MPoly.make(("z1", "z2"), {e[1:]: x for e, x in row.items()}).monic()
 
 
-def _graph_candidates(g: MPoly, xvar: str, yvar: str, max_deg: int):
-    """Candidate factors yvar - q(xvar) with deg q <= max_deg, found by
-    sampling fibers and interpolating; callers must verify divisibility."""
-    samples = [0, 1, -1, 2, -2, 3][: max_deg + 1]
-    root_sets = []
-    for a in samples:
-        u = g.substitute({xvar: MPoly.constant(a)})
-        if not u.depends_on(yvar):
-            return
-        roots = rational_roots(u)
-        if not roots:
-            return
-        root_sets.append(roots)
-    if prod(map(len, root_sets)) > 4096:
-        return
-    basis = _lagrange_basis(xvar, tuple(samples))
-    y = MPoly.var(yvar)
-    for combo in iproduct(*root_sets):
-        yield MPoly._sum([y, *(b.scale(-v) for b, v in zip(basis, combo))])
-
-
-@cache
-def _lagrange_basis(xvar: str, samples: tuple) -> tuple:
-    """The polynomials in xvar that are 1 at one sample and 0 at the others."""
+def _graph_candidates(g: MPoly, xvar: str, yvar: str) -> list:
+    """The yvar - q(xvar) that may divide g (`split_graph_components`), by
+    (q(0), q(1), q(-1), q(2)), read off the lift y as q(v) = y(v - a)."""
+    n, m = g.degree_in(yvar), g.degree_in(xvar)
+    if n < 1:
+        return []
     x = MPoly.var(xvar)
-    basis = []
-    for i, a in enumerate(samples):
-        b_i = MPoly.one()
-        for j, b in enumerate(samples):
-            if j != i:
-                b_i = b_i * (x - MPoly.constant(b)).scale(Fraction(1, a - b))
-        basis.append(b_i)
-    return tuple(basis)
+    for a in range(2 * n * m + 1):
+        cols = kernel_lists(*(c.dense_in(xvar) for c in g.substitute(
+            {xvar: x + a}).univariate_in(yvar)))  # g(a + t, y)
+        fibre = [c[0] for c in cols]
+        if fibre[-1] and len(dense_gcd(fibre, _dense_derivative(fibre))) == 1:
+            break
+    else:
+        raise AssertionError("split_graph_components: no squarefree fibre")
+    slope, cands = _dense_derivative(fibre), []
+    for r in dense_rational_roots(fibre):
+        # g(a + t, y) = O(t^k) before step k, and adding c t^k to y adds
+        # c g_y(a, r) t^k to it; acc is -g(a + t, y) mod t^(k+1)
+        y = [r]
+        for k in range(1, m + 1):
+            acc = []
+            for c in reversed(cols):
+                acc = _dense_sub(dense_mul(acc, y)[:k + 1], c[:k + 1])
+            y.append(acc[k] / dense_eval(slope, r) if len(acc) > k else 0)
+        q = from_dense(y, xvar).substitute({xvar: x - a})
+        cands.append(([Coefficient.coerce(dense_eval(y, v - a)).sort_key()
+                       for v in (0, 1, -1, 2)], MPoly.var(yvar) - q))
+    return [c for _key, c in sorted(cands, key=lambda kc: kc[0])]
 
 
-def split_graph_components(g: MPoly, max_deg: int = 3):
-    """Factors of a squarefree curve of the form z2 - q(z1) or z1 - q(z2),
-    plus the unsplit residual.  Bounded heuristic; every returned factor is
-    verified by exact division, so the product identity is exact."""
-    comps = []
-    rem = MPoly.coerce(g)
-    progress = True
-    while progress and not rem.is_constant():
-        progress = False
-        for xv, yv in (("z1", "z2"), ("z2", "z1")):
-            for cand in _graph_candidates(rem, xv, yv, max_deg):
-                if rem.total_degree() <= cand.total_degree():
-                    continue
-                if cand.divides(rem):
-                    rem = rem.exact_divide(cand)
-                    comps.append(cand.monic())
-                    progress = True
-                    break
-            if progress:
-                break
+def split_graph_components(g: MPoly):
+    """Factors of a squarefree curve g of the form z2 - q(z1) or z1 - q(z2),
+    plus the unsplit residual; each factor is verified by exact division.
+
+    For (x, y) = (z1, z2), then (z2, z1), with n = deg_y g >= 1 and
+    m = deg_x g: a factor y - q(x) has deg q <= m (degrees in x add) and
+    q(a) is a root of g(a, y).  Take the first a in 0, ..., 2nm with
+    lc_y(g)(a) != 0 and g(a, y) squarefree, that is disc_y(g)(a) != 0.
+    It exists: lc_y(g) disc_y(g) = +-Res_y(g, g_y) is nonzero, as g is
+    squarefree (a factor free of y only scales it), of degree <= (2n - 1)m,
+    so not all 2nm + 1 integers are its roots.
+    A simple root r lifts to one power series y(x) in x - a with
+    g(x, y(x)) = 0, each coefficient solved linearly through g_y(a, r) != 0
+    (Kung-Traub, J. ACM 25, 1978; von zur Gathen-Gerhard, Modern Computer
+    Algebra, ch. 9); a factor's q is that series, ending at (x - a)^m.  The
+    first cut lift that divides and is not the whole remainder is split
+    off, and the search restarts from (z1, z2).
+
+    Over Q every graph factor is found.  Over Q(zeta_n) a fibre with a
+    coefficient outside Q gives no roots, so its graphs stay in the residual.
+    """
+    comps, rem = [], MPoly.coerce(g)
+    while rem.total_degree() > 1:
+        cand = next((c for xv, yv in (("z1", "z2"), ("z2", "z1"))
+                     for c in _graph_candidates(rem, xv, yv)
+                     if c.total_degree() < rem.total_degree()
+                     and c.divides(rem)), None)
+        if cand is None:
+            break
+        rem = rem.exact_divide(cand)
+        comps.append(cand.monic())
     if not rem.is_constant():
         comps.append(rem.monic())
     return comps
@@ -388,32 +381,22 @@ def critical_orbit_finite(f1: PlaneEndo, f2: PlaneEndo, bound: int = 6) -> Orbit
                     comp_set.append(piece)
     report = {}
     for a in comp_set:
-        curves = {(0, 0): a}
-        seen = {a: (0, 0)}
-        witness = None
-        frontier = [(0, 0)]
-        while witness is None and frontier:
-            new_frontier = []
-            for (n, m) in frontier:
-                cur = curves[(n, m)]
-                for (dn, dm, f) in ((1, 0, f1), (0, 1, f2)):
-                    key = (n + dn, m + dm)
-                    if key in curves:
-                        continue
-                    img = image_curve(f, cur)
-                    curves[key] = img
-                    if img in seen:
-                        witness = (seen[img], key)
-                        break
-                    seen[img] = key
-                    if len(seen) > bound:
-                        break
-                    new_frontier.append(key)
-                if witness is not None or len(seen) > bound:
+        curves, seen, witness = {(0, 0): a}, {a: (0, 0)}, None
+        queue = [(0, 0)]  # breadth first: the loop reaches what it appends
+        for n, m in queue:
+            for key, f in (((n + 1, m), f1), ((n, m + 1), f2)):
+                if key in curves:
+                    continue
+                curves[key] = img = image_curve(f, curves[n, m])
+                if img in seen:
+                    witness = (seen[img], key)
                     break
-            if len(seen) > bound:
+                seen[img] = key
+                if len(seen) > bound:
+                    break
+                queue.append(key)
+            if witness is not None or len(seen) > bound:
                 break
-            frontier = new_frontier
         report[a] = {
             "images": sorted(set(curves) - {(0, 0)}),
             "distinct_curves": len(seen),

@@ -296,6 +296,25 @@ def _left_inverse(matrix):
             [row[ncols:] for row in rows[ncols:]])
 
 
+def first_relation(rows, below):
+    """The first of `rows` whose vector part cancels in an incremental
+    echelon form, reduced.  A row maps vector keys (at or above `below`) and
+    combination keys (below it: the inputs it came from) to nonzero entries.
+    Callers bound the rows by a proof that a relation exists."""
+    pivots = {}
+    for row in rows:
+        while (pos := max(row)) in pivots:
+            c = row[pos]
+            for e, x in pivots[pos].items():
+                row[e] = row.get(e, 0) - c * x
+            row = {e: x for e, x in row.items() if x}
+        if pos < below:
+            return row
+        inv = 1 / row[pos]
+        pivots[pos] = {e: x * inv for e, x in row.items()}
+    raise AssertionError("first_relation: the rows ran out")
+
+
 def _dot(row, vec) -> Fraction:
     return sum((c * x for c, x in zip(row, vec) if c), Fraction(0))
 

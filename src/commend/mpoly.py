@@ -776,31 +776,40 @@ def dense_rational_roots(a: list) -> list[Fraction]:
     return sorted(roots)
 
 
-def _coefficient_sqrt(u: Coefficient, order: int = 1) -> Coefficient:
-    sols = kth_roots(u, 2, order)
-    if not sols:
-        raise NotASquare(f"coefficient {u} has no square root in the field")
-    return sols[0]
-
-
-def _sign_normalize(w: MPoly) -> MPoly:
-    if w.is_zero():
-        return w
-    lead = w.leading_coefficient()
-    first = next((c for c in lead.res if c != 0), Fraction(0))
-    return -w if first < 0 else w
-
-
 def poly_sqrt(p: MPoly) -> MPoly:
-    """w with w^2 == p, sign-normalized; raises NotASquare otherwise."""
+    """w with w^2 == p, sign-normalized; raises NotASquare otherwise.
+
+    The terms of w come out in descending graded-lex order, the first a
+    root of p's leading term.  With t0 > ... > tk known, p - (t0 + ... +
+    tk)^2 = 2 (t0 + ... + tk) r + r^2 for the rest r of w, so the next
+    term is the remainder's leading term over 2 t0.  When that is not a
+    monomial below tk, or w^2 != p at the end, p is not a square.
+    """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    unit, factors = squarefree_decompose(p)
-    if any(m % 2 for _f, m in factors):
-        raise NotASquare("odd multiplicity in squarefree decomposition")
-    root = MPoly.constant(_coefficient_sqrt(unit, p.field_order()))
-    for f, m in factors:
-        root = root * f ** (m // 2)
-    if root * root != p:
-        raise AssertionError("poly_sqrt: the root does not square to p")
-    return _sign_normalize(root)
+    lead, c0 = p.leading()
+    roots = kth_roots(c0, 2, p.field_order())
+    if not roots:
+        raise NotASquare(f"coefficient {c0} has no square root in the field")
+    e = top = tuple(x // 2 for x in lead)
+    c, root, rem = roots[0], {}, dict(p.terms)
+    while True:
+        # rem -= (2 (terms so far) + c x^e) c x^e
+        for e2, c2 in [*((e2, 2 * c2) for e2, c2 in root.items()), (e, c)]:
+            k = tuple(a + b for a, b in zip(e, e2))
+            rem[k] = rem.get(k, 0) - c * c2
+            if not rem[k]:
+                del rem[k]
+        root[e] = c
+        if not rem:
+            break
+        lead = max(rem, key=MPoly._grlex_key)
+        last, e = e, tuple(a - b for a, b in zip(lead, top))
+        if min(e) < 0 or MPoly._grlex_key(e) >= MPoly._grlex_key(last):
+            raise NotASquare("the polynomial is not a square")
+        c = rem[lead] / (2 * root[top])
+    w = MPoly.make(p.vars, root)
+    if w * w != p:
+        raise NotASquare("the polynomial is not a square")
+    # the sign that makes the first nonzero residue of the lead positive
+    return -w if next(x for x in w.leading_coefficient().res if x) < 0 else w

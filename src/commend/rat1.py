@@ -14,7 +14,8 @@ from math import inf
 
 from .errors import (BadPointCount, InfinityWeightViolation, NoCaseMatch,
                      PreconditionViolated)
-from .field import Coefficient, dense_divmod, dense_inverse_mod, dense_mul
+from .field import (Coefficient, dense_divmod, dense_inverse_mod, dense_mul,
+                    first_relation)
 from .mpoly import (MPoly, dense_eval, dense_gcd, dense_rational_roots,
                     dense_squarefree, forms_share_zero, kernel_lists)
 
@@ -449,31 +450,20 @@ def _critical_values(r: RatMap1, rational, residual):
 
 def _minimal_polynomial(v, f):
     """The monic minimal polynomial of v in K[x]/(f), dense lists: the first
-    linear dependency among the reductions of 1, v, v^2, ... mod f, found
-    by adding one row per power to an echelon form.
-
-    Each row holds a reduction under keys 0, ..., deg f - 1 and, under keys
-    -1 - j that sort below them, the combination of powers v^j it came from;
-    the first row whose reduction cancels is the relation, with coefficient
-    1 at the newest power."""
+    relation (`first_relation`) among the reductions of 1, v, v^2, ... mod f,
+    each under keys 0, ..., deg f - 1 beside its power v^j under -1 - j.
+    The relation has 1 at the newest power, its lowest key."""
     one = f[-1] / f[-1]
-    pivots = {}  # leading key -> row with 1 there
-    power = [one]
-    for n in range(len(f)):
-        if n:
-            power = dense_divmod(dense_mul(power, v), f)[1]
-        row = {i: x for i, x in enumerate(power) if x}
-        row[-1 - n] = one
-        while (pos := max(row)) in pivots:
-            c = row[pos]
-            for e, x in pivots[pos].items():
-                row[e] = row.get(e, 0) - c * x
-            row = {e: x for e, x in row.items() if x}
-        if pos < 0:
-            return [row.get(-1 - j, one - one) for j in range(n + 1)]
-        inv = 1 / row[pos]
-        pivots[pos] = {e: x * inv for e, x in row.items()}
-    raise AssertionError("_minimal_polynomial: no relation in deg f + 1 powers")
+
+    def rows():
+        power = [one]
+        for n in range(len(f)):
+            if n:
+                power = dense_divmod(dense_mul(power, v), f)[1]
+            yield {i: x for i, x in enumerate(power) if x} | {-1 - n: one}
+
+    row = first_relation(rows(), 0)
+    return [row.get(-1 - j, one - one) for j in range(-min(row))]
 
 
 def _closure_under(r: RatMap1, points, cap: int = 16):

@@ -17,8 +17,8 @@ from commend.errors import (BothZero, NotASquare, NotDivisible, ParseError,
 from commend.field import (Coefficient, _dense_sub, _left_inverse,
                            _solve_linear, _trim,
                            cyclotomic_coeffs, dense_divmod, dense_inverse_mod,
-                           dense_mul, divisors, euler_phi, kth_roots,
-                           roots_of_unity)
+                           dense_mul, divisors, euler_phi, first_relation,
+                           kth_roots, roots_of_unity)
 from commend.mpoly import (MPoly, _dense_derivative, binary_form_resultant,
                            dense_gcd, dense_rational_roots, dense_squarefree,
                            forms_share_zero, from_dense, gcd_poly,
@@ -435,6 +435,122 @@ class TestMPoly:
         if p.is_zero() or q.is_zero():
             return
         assert (p * q).exact_divide(q) == p
+
+
+def _coefficient_sqrt(u: Coefficient, order: int = 1) -> Coefficient:
+    sols = kth_roots(u, 2, order)
+    if not sols:
+        raise NotASquare(f"coefficient {u} has no square root in the field")
+    return sols[0]
+
+
+def _sign_normalize(w: MPoly) -> MPoly:
+    if w.is_zero():
+        return w
+    lead = w.leading_coefficient()
+    first = next((c for c in lead.res if c != 0), Fraction(0))
+    return -w if first < 0 else w
+
+
+def oracle_sqrt(p: MPoly) -> MPoly:
+    """The square root through the squarefree decomposition, as `poly_sqrt`
+    computed it before it read the root off term by term."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    unit, factors = squarefree_decompose(p)
+    if any(m % 2 for _f, m in factors):
+        raise NotASquare("odd multiplicity in squarefree decomposition")
+    root = MPoly.constant(_coefficient_sqrt(unit, p.field_order()))
+    for f, m in factors:
+        root = root * f ** (m // 2)
+    if root * root != p:
+        raise AssertionError("poly_sqrt: the root does not square to p")
+    return _sign_normalize(root)
+
+
+@st.composite
+def sqrt_cases(draw):
+    """A square w^2 (times a scalar that may not be one) or a square with
+    one term changed, over Q, Q(zeta_3) or Q(zeta_4), in z1 and z2."""
+    order = draw(st.sampled_from([1, 3, 4]))
+    w = Coefficient.root_of_unity(order) if order > 1 else Coefficient.zero()
+
+    def element():
+        return Coefficient.rational(draw(small)) + w * draw(small)
+
+    monomials = [(i, k - i) for k in range(4) for i in range(k + 1)]
+    root = MPoly.make(("z1", "z2"), {e: element() for e in
+                                     draw(st.lists(st.sampled_from(monomials),
+                                                   min_size=1, max_size=5))})
+    assume(not root.is_zero())
+    p = root * root
+    if draw(st.booleans()):
+        p = p.scale(draw(st.sampled_from([1, -1, 2, -3, 4])))
+    if draw(st.booleans()):
+        e = draw(st.sampled_from([(i, k - i) for k in range(7)
+                                  for i in range(k + 1)]))
+        p = p + MPoly.make(("z1", "z2"), {e: element()})
+    assume(not p.is_zero())
+    return p
+
+
+class TestPolySqrt:
+    @given(sqrt_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_squarefree_oracle(self, p):
+        # squares give the oracle's root, non-squares NotASquare, never an
+        # AssertionError
+        try:
+            want = oracle_sqrt(p)
+        except NotASquare:
+            with pytest.raises(NotASquare):
+                poly_sqrt(p)
+            return
+        assert poly_sqrt(p) == want
+
+    @pytest.mark.parametrize("text, order", [
+        ("z1^2 + z2^2", 1), ("z1", 1), ("-4*z1^2", 1), ("z1^2 + 2*z1 + 2", 1),
+        ("z1^2*z2 + 1", 1), ("2*w*z1^2", 3), ("-3*z1^2 + z2", 3)])
+    def test_non_squares(self, text, order):
+        with pytest.raises(NotASquare):
+            poly_sqrt(parse_poly(text, order))
+
+    def test_cyclotomic_squares(self):
+        for text, order in (("-z1^2 + 2*w*z1*z2 + z2^2", 4),
+                            ("w^2*z1^2 + 2*w*z1 + 1", 3), ("4*w*z1^4", 3)):
+            p = parse_poly(text, order)
+            assert poly_sqrt(p) == oracle_sqrt(p)
+            assert poly_sqrt(p) ** 2 == p
+
+
+class TestFirstRelation:
+    @given(st.sampled_from([1, 3]), st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_finds_the_planted_dependency(self, order, n, data):
+        # rows v_0, ..., v_(n-1) are independent (triangular with a nonzero
+        # diagonal) and v_n = sum a_j v_j: the relation is found at v_n,
+        # with coefficient 1 there and -a_j at the others
+        entry = field_entries(order)
+        vectors = []
+        for i in range(n):
+            v = [data.draw(entry) for _ in range(i)]
+            v.append(data.draw(entry.filter(bool)))
+            vectors.append(v + [0] * (n - i - 1))
+        a = [data.draw(entry) for _ in range(n)]
+        vectors.append([sum((aj * v[k] for aj, v in zip(a, vectors)), 0)
+                        for k in range(n)])
+        one = Coefficient.one() if order > 1 else Fraction(1)
+        rows = ({**{k: x for k, x in enumerate(v) if x}, -1 - j: one}
+                for j, v in enumerate(vectors))
+        row = first_relation(rows, 0)
+        assert row == {-1 - j: c for j, c in
+                       enumerate([-aj for aj in a] + [one]) if c}
+
+    def test_independent_rows_run_out(self):
+        rows = [{0: Fraction(1), -1: Fraction(1)},
+                {1: Fraction(2), 0: Fraction(3), -2: Fraction(1)}]
+        with pytest.raises(AssertionError):
+            first_relation(iter(rows), 0)
 
 
 def _entries(result):

@@ -14,11 +14,14 @@ from commend.classify import (SWAP, AffineConj, BudgetExceeded,
                               search)
 from commend.endo2 import (PlaneEndo, commutes, compose, extends_to_p2,
                            iterate)
-from commend.errors import PreconditionViolated
-from commend.families import chebyshev, ex1, ex2, ex4_descend
+from commend.errors import (NotCommuting, PreconditionViolated,
+                            ScalarNotSolvable)
+from commend.families import (FamilyTag, chebyshev, ex1, ex2, ex3_lift,
+                              ex4_descend)
 from commend.field import _solve_linear
 from commend.mpoly import MPoly, session_order
 from commend.parse import parse_map_pair
+from commend.rat1 import RatMap1
 from test_reports import criterion_10_base, ex3_scaled
 
 X = MPoly.var("x")
@@ -40,6 +43,34 @@ translations = st.sampled_from([Fraction(x) for x in
 CRITERION_10_BASE = criterion_10_base()
 
 
+def _match_ex3(f1, f2, order, centred):
+    """The Ex3 matcher that `recognize` replaced by the homogeneity test:
+    it rebuilt the centred pair through `ex3_lift`."""
+    centre, h1, h2 = centred  # homogeneous h_i = affine_conjugate(f_i, centre)
+    lam1 = h1.comp1.leading_coefficient()
+    lam2 = h2.comp1.leading_coefficient()
+    bind = {"z1": MPoly.var("s"), "z2": MPoly.var("t")}
+    try:
+        r1 = RatMap1(h1.comp1.scale(lam1.inverse()).substitute(bind),
+                     h1.comp2.scale(lam1.inverse()).substitute(bind))
+        r2 = RatMap1(h2.comp1.scale(lam2.inverse()).substitute(bind),
+                     h2.comp2.scale(lam2.inverse()).substitute(bind))
+        g1, g2 = ex3_lift(r1, r2, lam1, lam2)
+    except (ValueError, NotCommuting, ScalarNotSolvable):
+        return None
+    if g1 == h1 and g2 == h2:
+        return classify.Verdict("Ex3", FamilyTag("Ex3", (lam1, lam2)), centre)
+    return None
+
+
+def _centred_homogeneous(f1, f2):
+    centre = classify._translation(f1)
+    return centre is not None and all(
+        sum(e) == h.degree for h in (affine_conjugate(f1, centre),
+                                     affine_conjugate(f2, centre))
+        for c in (h.comp1, h.comp2) for e in c.terms)
+
+
 def fixed_order_verdict(f1, f2):
     """(tag, params, conjugation) of the first of Ex1, Ex2, Ex3 and Ex4 that
     matches the centred pair, Ex3 only when both centred maps are
@@ -54,7 +85,7 @@ def fixed_order_verdict(f1, f2):
                           for c in (h.comp1, h.comp2) for e in c.terms)
 
         def ex3(*args):
-            return classify._match_ex3(*args) if homogeneous else None
+            return _match_ex3(*args) if homogeneous else None
 
         matchers = [classify._match_ex1, classify._match_ex2, ex3,
                     classify._match_ex4]
@@ -217,6 +248,25 @@ class TestRecognize:
         f1, f2 = pair
         v = recognize(f1, f2)
         assert (v.tag, v.params, v.conjugation) == fixed_order_verdict(f1, f2)
+
+
+    @given(oracle_pairs.filter(lambda pair: _centred_homogeneous(*pair)))
+    @example(tuple(map(endo, GRID_PAIRS[-1])))
+    @settings(max_examples=30, deadline=None)
+    def test_homogeneous_pairs_are_the_ex3_lift(self, pair):
+        # the centred pair is its own Ex3 lift: the old matcher, which
+        # rebuilt it through ex3_lift, always answers, with recognize's
+        # verdict
+        f1, f2 = pair
+        centre = classify._translation(f1)
+        centred = (centre, affine_conjugate(f1, centre),
+                   affine_conjugate(f2, centre))
+        order = session_order(f1.comp1, f1.comp2, f2.comp1, f2.comp2)
+        v = _match_ex3(f1, f2, order, centred)
+        assert v is not None
+        w = recognize(f1, f2)
+        assert (w.tag, w.params, w.conjugation) == \
+            (v.tag, v.params, v.conjugation)
 
 
 def _normal_forms(v, h1, h2):

@@ -225,3 +225,44 @@ class TestLattesShorthand:
         r = _line_map(Session(3), "lattes:w,1,2")
         assert r.formS == parse_poly(form_s, 3)
         assert r.formT == parse_poly(form_t, 3)
+
+
+def _integer_error(command, text):
+    return _report(['{', f'  "command": "{command}",',
+                    f'  "error": "expected an integer, not \'{text}\' '
+                    '(at offset 0)",', '  "kind": "ParseError"', '}'])
+
+
+class TestShorthandIntegers:
+    """The degrees of `cheb:d`, `tcheb:d` and `lattes:a,b,n`, orbifold
+    weights and the `search` lists are integers: other text is a
+    ParseError, not Python's int() ValueError; the bytes are written out."""
+
+    @pytest.mark.parametrize("argv, stdout", [
+        (["classify-p1", "--map=lattes:1,0,x"],
+         _integer_error("classify-p1", "x")),
+        (["classify-p1", "--map=cheb:two"],
+         _integer_error("classify-p1", "two")),
+        (["classify-p1", "--map=tcheb:2.5"],
+         _integer_error("classify-p1", "2.5")),
+        (["commute", "--f=cheb:", "--g=cheb:2"],
+         _integer_error("commute", "")),
+        (["orbifold-cover", "--map=cheb:2", "--orbifold=inf:inf,2:two,-2:2"],
+         _integer_error("orbifold-cover", "two")),
+        (["search", "--degrees=2,3", "--coeffs=1..x"],
+         _integer_error("search", "x")),
+    ])
+    def test_malformed_integers_are_parse_errors(self, capsys, argv, stdout):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == stdout
+
+    def test_valid_integers_keep_their_reports(self, capsys):
+        # int() reads surrounding blanks and a sign, as before
+        for spaced, plain in ((["classify-p1", "--map=cheb: 3"],
+                               ["classify-p1", "--map=cheb:3"]),
+                              (["classify-p1", "--map=lattes:-1,0,+2 "],
+                               ["classify-p1", "--map=lattes:-1,0,2"])):
+            main(spaced)
+            got = capsys.readouterr().out
+            main(plain)
+            assert got == capsys.readouterr().out

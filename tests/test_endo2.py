@@ -1,5 +1,10 @@
 """Plane polynomial maps: composition, extension, critical data, invariance."""
 
+from fractions import Fraction
+from functools import cache, reduce
+from itertools import product as iproduct
+from math import prod
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,13 +14,13 @@ from commend.endo2 import (PlaneEndo, _shear, check_critical_chain, commutes,
                            extends_to_p2, image_curve, invariant_lines,
                            is_invariant_curve, is_totally_invariant, iterate,
                            mult_on_curve, ramified_square_invariance,
-                           restrict_infinity)
+                           restrict_infinity, split_graph_components)
 from commend.errors import (DegreeLimitExceeded, NotExtendable,
                              PreconditionViolated)
 from commend.families import chebyshev, ex1, ex2, ex3_lift, ex4_descend
 from commend.field import Coefficient
-from commend.mpoly import (MPoly, resultant, squarefree_decompose,
-                           squarefree_part)
+from commend.mpoly import (MPoly, from_dense, rational_roots, resultant,
+                           squarefree_decompose, squarefree_part)
 from commend.parse import parse_map_pair, parse_poly
 from commend.rat1 import RatMap1
 
@@ -290,3 +295,147 @@ def test_image_curve_is_the_image(case):
         old = _eliminated_image(f, g)
         assume(old is not None)
         assert h.divides(old)
+
+
+# ---------------------------------------------------------------------------
+# Graph components
+# ---------------------------------------------------------------------------
+
+
+def _oracle_candidates(g, xvar, yvar):
+    samples = (0, 1, -1, 2)
+    root_sets = []
+    for a in samples:
+        u = g.substitute({xvar: MPoly.constant(a)})
+        if not u.depends_on(yvar):
+            return
+        roots = rational_roots(u)
+        if not roots:
+            return
+        root_sets.append(roots)
+    if prod(map(len, root_sets)) > 4096:
+        return
+    basis = _lagrange_basis(xvar, samples)
+    y = MPoly.var(yvar)
+    for combo in iproduct(*root_sets):
+        yield MPoly._sum([y, *(b.scale(-v) for b, v in zip(basis, combo))])
+
+
+@cache
+def _lagrange_basis(xvar, samples):
+    x = MPoly.var(xvar)
+    basis = []
+    for i, a in enumerate(samples):
+        b_i = MPoly.one()
+        for j, b in enumerate(samples):
+            if j != i:
+                b_i = b_i * (x - MPoly.constant(b)).scale(Fraction(1, a - b))
+        basis.append(b_i)
+    return tuple(basis)
+
+
+def oracle_split(g):
+    """The split that sampled fibres at 0, 1, -1, 2 and interpolated q from
+    every combination of their rational roots (at most 4,096), so it found
+    only graphs with deg q <= 3, and none in an orientation where a sampled
+    fibre vanished or had no rational root."""
+    comps = []
+    rem = MPoly.coerce(g)
+    progress = True
+    while progress and not rem.is_constant():
+        progress = False
+        for xv, yv in (("z1", "z2"), ("z2", "z1")):
+            for cand in _oracle_candidates(rem, xv, yv):
+                if rem.total_degree() <= cand.total_degree():
+                    continue
+                if cand.divides(rem):
+                    rem = rem.exact_divide(cand)
+                    comps.append(cand.monic())
+                    progress = True
+                    break
+            if progress:
+                break
+    if not rem.is_constant():
+        comps.append(rem.monic())
+    return comps
+
+
+_graph_coeffs = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _graph(draw):
+    """y - q(x), monic, with deg q <= 6 and (x, y) either way round."""
+    d = draw(st.integers(0, 6))
+    q = [draw(_graph_coeffs) for _ in range(d)]
+    q.append(draw(_graph_coeffs.filter(bool)))
+    x, y = draw(st.sampled_from([("z1", "z2"), ("z2", "z1")]))
+    return (MPoly.var(y) - from_dense(q, x)).monic()
+
+
+@st.composite
+def _not_a_graph(draw):
+    """An irreducible curve that is no graph: a conic a x^2 + b y^2 + c with
+    a, b, c > 0, a smooth cubic y^2 - x^3 - c, or y^2 + c, free of x (then
+    a graph over x may have the whole x-degree of the product)."""
+    pos = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3)])
+    x, y = (MPoly.var(v) - MPoly.constant(draw(_graph_coeffs))
+            for v in draw(st.permutations(["z1", "z2"])))
+    kind = draw(st.sampled_from(["conic", "cubic", "free of x"]))
+    if kind == "conic":
+        return (x**2).scale(draw(pos)) + (y**2).scale(draw(pos)) + \
+            MPoly.constant(draw(pos))
+    if kind == "cubic":
+        return y**2 - x**3 - MPoly.constant(draw(pos))
+    return y**2 + MPoly.constant(draw(pos))
+
+
+@given(st.lists(_graph(), min_size=1, max_size=3, unique=True),
+       _not_a_graph())
+@settings(max_examples=60, deadline=None)
+def test_split_returns_exactly_the_graphs(graphs, rest):
+    g = reduce(lambda a, b: a * b, graphs) * rest
+    pieces = split_graph_components(g)
+    assert set(pieces[:-1]) == set(graphs)
+    assert len(pieces) == len(graphs) + 1 and pieces[-1] == rest.monic()
+    for piece in pieces:
+        assert piece.divides(g)
+    assert g.exact_divide(reduce(lambda a, b: a * b, pieces)).is_constant()
+    # the sampler it replaced finds no graph that the lift misses
+    assert set(oracle_split(g)) & set(graphs) <= set(pieces)
+
+
+@pytest.mark.parametrize("factors, pieces, sampled", [
+    # q of degree 4: the sampler stopped at degree 3
+    (["z2 - z1^4", "z2 + z1^4"], ["z1^4 + z2", "z1^4 - z2"],
+     ["z1^8 - z2^2"]),
+    (["z2 - z1^5 + 3*z1", "z2^2 - z1^3 - 1", "z1 - 2"],
+     ["z1^5 - 3*z1 - z2", "z1 - 2", "z1^3 - z2^2 + 1"],
+     ["z1 - 2", "z1^8 - z1^5*z2^2 + z1^5 - 3*z1^4 - z1^3*z2 + 3*z1*z2^2"
+      " + z2^3 - 3*z1 - z2"]),
+    # deg q = deg_z1 g: the lift must run to the last power
+    (["z2 - z1^3 + z1", "z2^2 + 2"], ["z1^3 - z1 - z2", "z2^2 + 2"],
+     ["z1^3 - z1 - z2", "z2^2 + 2"]),
+    # the sampled fibre over z1 = 1, or z1 = 0, vanishes: the sampler gave
+    # up on that orientation, the lift takes the next abscissa
+    (["z1 - 1", "z2 - z1^2"], ["z1^2 - z2", "z1 - 1"],
+     ["z1 - 1", "z1^2 - z2"]),
+    (["z1", "z2"], ["z2", "z1"], ["z1*z2"]),
+])
+def test_split_examples(factors, pieces, sampled):
+    g = reduce(lambda a, b: a * b, map(parse_poly, factors))
+    assert [str(p) for p in split_graph_components(g)] == pieces
+    assert [str(p) for p in oracle_split(g)] == sampled
+
+
+def test_split_over_cyclotomic_fields():
+    # over Q(zeta_3) a fibre with a coefficient outside Q has no roots from
+    # the root finder: (z2 - w*z1^2)(z2 + z1^2) stays whole, its fibres over
+    # z1 = 0 and z2 = 0 being squares.  A rational fibre still lifts to a
+    # graph over Q(zeta_3): over z1 = 0, (z2 - w*z1)(z2 - z1^2 - 1) has the
+    # fibre z2 (z2 - 1), whose root 0 lifts to z2 = w*z1
+    g = parse_poly("z2 - w*z1^2", 3) * parse_poly("z2 + z1^2", 3)
+    assert split_graph_components(g) == [g.monic()]
+    g = parse_poly("z2 - w*z1", 3) * parse_poly("z2 - z1^2 - 1", 3)
+    assert split_graph_components(g) == [parse_poly("z1 + z2 + w*z2", 3),
+                                         parse_poly("z1^2 - z2 + 1", 3)]

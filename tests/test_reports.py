@@ -2,8 +2,9 @@
 criterion-10 pairs, the P^1 commands, the critical-curve commands, the
 image curves of maps outside the families below, the portraits of Lattes
 maps induced on quotients, a conjugated Ex3 pair with scalars other than 1,
-larger search grids and the Lattes maps of the division-polynomial builder,
-run in-process through `cli.main`.
+larger search grids, the Lattes maps of the division-polynomial builder,
+two non-square ramified invariances and a critical orbit whose critical
+part splits into two lines, run in-process through `cli.main`.
 
 `tests/data/reports.txt` holds, for each command, a `$ commend ...` line and
 the exact stdout bytes of the report.  Regenerate it (only when a report is
@@ -270,6 +271,20 @@ IMAGE_CURVE_COMMANDS = [
 ]
 
 
+# ramified-invariance where phi o f / phi is not a square: its leading
+# term is not one, then a later term leaves the monomials; critical-orbit
+# on the power maps of degrees 2 and 3 conjugated by the involution
+# (z1, z1 - z2), whose one critical part z1 (z1 - z2) splits into the line
+# z1 = z2 first (the fibre over z1 = 0 vanishes, so the graph is lifted
+# from the fibre over z1 = 1)
+SQRT_AND_SPLIT_COMMANDS = [
+    ["ramified-invariance", "--f", "(z1^2 - 2*z2, z2^2)", "--phi", "z2"],
+    ["ramified-invariance", "--f", "(z1^3 + z1*z2^2, z2^3)", "--phi", "z1"],
+    ["critical-orbit", "--f", "(z1^2, 2*z1*z2 - z2^2)",
+     "--g", "(z1^3, 3*z1^2*z2 - 3*z1*z2^2 + z2^3)"],
+]
+
+
 def golden_commands():
     classify = [["classify", "--f", f"({f1.comp1}, {f1.comp2})",
                  "--g", f"({f2.comp1}, {f2.comp2})"]
@@ -279,7 +294,7 @@ def golden_commands():
                  for m, o, _case in portrait_maps()[2:]]
     return (README_COMMANDS + classify + [ex3_scaled_command()] + P1_COMMANDS
             + critical_layer_commands() + IMAGE_CURVE_COMMANDS + portraits
-            + SEARCH_COMMANDS + LATTES_COMMANDS)
+            + SEARCH_COMMANDS + LATTES_COMMANDS + SQRT_AND_SPLIT_COMMANDS)
 
 
 def render_reports() -> str:
