@@ -193,7 +193,8 @@ def _cmd_total_invariant(session, args):
 
 def _cmd_ramified_invariance(session, args):
     w = endo2.ramified_square_invariance(_plane_map(session, args.f),
-                                         _poly(session, args.phi))
+                                         _poly(session, args.phi),
+                                         session.cyclotomic_order)
     return 0, {"witness": _fmt_poly(session, w)}
 
 
@@ -440,9 +441,24 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _attach_values(argv) -> list:
+    """argv (sys.argv[1:] for None) with each value that begins with '-'
+    attached to its option as `--name=value`: argparse reads a separate one
+    as an option.  Every `--name` option but `--help` takes one value."""
+    out = []
+    for item in sys.argv[1:] if argv is None else argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and out[-1] != "--help" and item.startswith("-")
+                and not item.startswith("--") and item != "-h"):
+            out[-1] += "=" + item
+        else:
+            out.append(item)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_values(argv))
     cyclotomic = getattr(args, "cyclotomic", 1)
     degree_cap = getattr(args, "degree_cap", endo2.DEFAULT_DEGREE_CAP)
     json_path = getattr(args, "json", None)

@@ -201,15 +201,16 @@ def is_totally_invariant(f: PlaneEndo, g: MPoly) -> bool:
     return q.is_constant() and not q.is_zero()
 
 
-def ramified_square_invariance(f: PlaneEndo, phi: MPoly) -> MPoly:
-    """W with phi∘f == phi * W^2 (NotDivisible / NotASquare otherwise)."""
+def ramified_square_invariance(f: PlaneEndo, phi: MPoly, order: int) -> MPoly:
+    """W with phi∘f == phi * W^2 over Q(zeta_order) (NotDivisible /
+    NotASquare otherwise)."""
     from .mpoly import poly_sqrt
     phi = MPoly.coerce(phi)
     if phi.is_constant():
         raise PreconditionViolated("phi must be nonconstant")
     pulled = phi.substitute({"z1": f.comp1, "z2": f.comp2})
     quotient = pulled.exact_divide(phi)
-    w = poly_sqrt(quotient)
+    w = poly_sqrt(quotient, order)
     if phi * w * w != pulled:
         raise AssertionError("ramified_square_invariance: phi W^2 != phi o f")
     return w

@@ -56,19 +56,19 @@ def divisors(n: int) -> list[int]:
 # Dense univariate kernel: coefficient lists [c0, ..., cd] over the field
 # ---------------------------------------------------------------------------
 # Results are trimmed (last entry nonzero); the zero polynomial is [].  Lists
-# hold Fractions (or ints) over Q and Coefficients over Q(zeta_n); the list
-# arithmetic uses only + - * /, truthiness and == 1 on the entries.  A
-# divisor whose leading entry is an int other than 1 divides in Z[x], exactly
-# or with NotDivisible, so no int / int can leave a float behind.
+# hold Fractions (or ints) over Q, Coefficients over Q(zeta_n) and, for
+# K[z2][z1] in `mpoly`, MPolys in z2; the list arithmetic uses only + - * /,
+# truthiness and == 1 on the entries.  A divisor whose leading entry is not a
+# field element (an int other than 1, or an MPoly) divides exactly or raises
+# NotDivisible, so no int / int can leave a float behind.
 #
-# The gcd and Yun's squarefree decomposition (in `mpoly`) and the extended
-# Euclid (here) run on pseudo-remainders, which divide no entry.  The one step
-# that depends on the domain is normalisation, chosen by `_domain`: over Q,
-# denominators are cleared once on entry and each remainder is divided by its
-# integer content, with a positive leading entry (the primitive PRS: Collins,
-# J. ACM 14, 1967; Brown-Traub, J. ACM 18, 1971); over Q(zeta_n), each
-# remainder is made monic.  Results leave monic, as Fractions over Q and as
-# Coefficients over Q(zeta_n).
+# The gcd, Yun (in `mpoly`) and the extended Euclid (here) run on the
+# remainders of `_pseudo_divmod`, which divides no entry, each brought to a
+# normal form: over Q, after denominators are cleared once, divided by its
+# integer content with a positive leading entry (the primitive PRS: Collins,
+# J. ACM 14, 1967; Brown-Traub, J. ACM 18, 1971); over Q(zeta_n) made monic
+# (`_domain` picks one of these two); over K[z2] divided by its content
+# (`mpoly._primitive_poly`).
 
 
 def _trim(a: list) -> list:
@@ -100,24 +100,33 @@ def dense_mul(a: list, b: list) -> list:
     return _trim(out)
 
 
+def _exact_quotient(a, b):
+    """a / b in Z or K[z2]; NotDivisible when b does not divide a."""
+    if type(b) is not int:
+        return a.exact_divide(b)
+    q, m = divmod(a, b)
+    if m:
+        raise NotDivisible("not an exact quotient in Z[x]")
+    return q
+
+
 def dense_divmod(a: list, b: list):
     """(quotient, remainder) of a by the nonzero b, both trimmed; a monic
-    b takes each quotient entry as it stands, with no division.  A b with
-    an int leading entry other than 1 divides in Z[x]: each quotient entry
-    is an exact integer quotient and the remainder is [], or NotDivisible."""
+    b takes each quotient entry as it stands, with no division.  A b whose
+    leading entry is not a field element (an int other than 1, or an MPoly)
+    divides in R[x]: each quotient entry is an `_exact_quotient` and the
+    remainder is [], or NotDivisible."""
     a, b = _trim(a), _trim(b)
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
     db, lb = len(b) - 1, b[-1]
-    exact = type(lb) is int and lb != 1
+    exact = type(lb) not in (Fraction, Coefficient) and lb != 1
     quot = [None] * max(len(a) - db, 0)
     inv = None if lb == 1 or exact or not quot else 1 / lb
     for i in range(len(quot) - 1, -1, -1):
         c = a[i + db]
         if exact:
-            c, m = divmod(c, lb)
-            if m:
-                raise NotDivisible("not an exact quotient in Z[x]")
+            c = _exact_quotient(c, lb)
         elif inv is not None:
             c = c * inv
         quot[i] = c
@@ -125,27 +134,27 @@ def dense_divmod(a: list, b: list):
             a[i:i + db] = [x - c * y for x, y in zip(a[i:i + db], b)]
     rem = _trim(a[:db])
     if exact and rem:
-        raise NotDivisible("not an exact quotient in Z[x]")
+        raise NotDivisible("not an exact quotient in R[x]")
     return quot, rem
 
 
 def _pseudo_divmod(a: list, b: list):
-    """(s, q, r) with s * a == q * b + r and deg r < deg b, for a nonzero
-    trimmed b, dividing no entry: s is the power of b's leading entry taken
-    at the steps with a nonzero top entry, 1 for a monic b."""
+    """(k, q, r) with lc(b)^k * a == q * b + r and deg r < deg b, for a
+    nonzero trimmed b, dividing no entry.  Only the steps with a nonzero top
+    entry scale by lc(b), so k counts them; k is 0 for a monic b."""
     r, db, lb = list(a), len(b) - 1, b[-1]
-    s, q = 1, []  # q from its top entry down
+    k, q = 0, []  # q from its top entry down
     while len(r) > db:
         top = r.pop()
         i = len(r) - db
         if top and lb != 1:
-            s, q = s * lb, [x * lb for x in q]
+            k, q = k + 1, [x * lb for x in q]
             r = [x * lb for x in r[:i]] + [x * lb - top * y
                                            for x, y in zip(r[i:], b)]
         elif top:
             r[i:] = [x - top * y for x, y in zip(r[i:], b)]
         q.append(top)
-    return s, q[::-1], _trim(r)
+    return k, q[::-1], _trim(r)
 
 
 def _primitive(a: list):
@@ -205,10 +214,11 @@ def dense_inverse_mod(a: list, f: list) -> list:
     # the first step reduces a modulo f
     r0, r1, u0, e0, u1, e1 = a, f, [1], 1, [], 1
     while True:
-        s, q, r = _pseudo_divmod(r0, r1)
-        # s * r0 - q * r1 == r == c * r2
+        k, q, r = _pseudo_divmod(r0, r1)
+        # lc(r1)^k * r0 - q * r1 == r == c * r2
         c, r2 = normal(r)
-        u2 = _dense_sub(_scale(u0, s * e1), dense_mul(q, _scale(u1, e0)))
+        u2 = _dense_sub(_scale(u0, r1[-1] ** k * e1),
+                        dense_mul(q, _scale(u1, e0)))
         v = normal(u2 + [c * e0 * e1])[1]
         r0, r1, u0, e0, u1, e1 = r1, r2, u1, e1, v[:-1], v[-1]
         if len(r1) <= 1:

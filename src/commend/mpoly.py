@@ -9,11 +9,11 @@ first, then the exponent tuple lexicographically in variable order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import BothZero, NotASquare, NotDivisible
-from .field import (Coefficient, _dense_sub, _domain, _pseudo_divmod, _trim,
-                    dense_divmod, dense_mul, divisors, kth_roots)
+from .field import (Coefficient, _dense_sub, _domain, _pseudo_divmod, _scale,
+                    _trim, dense_divmod, dense_mul, divisors, kth_roots)
 
 # Canonical precedence used to order variable tuples.
 VAR_ORDER = (
@@ -80,6 +80,9 @@ class MPoly:
     # -- basic queries -------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def is_constant(self) -> bool:
         return not self.vars or all(sum(e) == 0 for e in self.terms)
@@ -379,10 +382,9 @@ def session_order(*polys: MPoly) -> int:
 # ---------------------------------------------------------------------------
 # The list primitives (`_trim`, `_dense_sub`, `dense_mul`, `dense_divmod`,
 # `_pseudo_divmod`, `dense_inverse_mod`) and the domain steps (`_domain`)
-# live in `field`, whose Q(zeta_n) arithmetic runs on them; the gcd,
-# squarefree and root helpers here build on them under the same rules.  Over
-# Q the gcd and Yun's algorithm run on primitive int lists and return monic
-# Fractions; over Q(zeta_n) they run on monic Coefficient lists.
+# live in `field`, whose Q(zeta_n) arithmetic runs on them.  The one gcd
+# loop (`_prs_gcd`) and the one Yun (`_yun`) here take the normal form as an
+# argument: `_domain`'s over Q and Q(zeta_n), `_primitive_poly` over K[z2].
 # `kernel_lists` turns Coefficient lists into Fractions when every entry is
 # rational; `from_dense` and `MPoly.make` coerce the entries back.
 
@@ -413,9 +415,9 @@ def dense_eval(a: list, x):
 
 
 def _prs_gcd(a: list, b: list, normal) -> list:
-    """The gcd of two lists in `normal` form, by pseudo-remainders each
-    brought to that form."""
-    a, b = normal(a)[1], normal(b)[1]
+    """The gcd of a list a in `normal` form and a list b, by
+    pseudo-remainders each brought to that form."""
+    b = normal(b)[1]
     while b:
         a, b = b, normal(_pseudo_divmod(a, b)[2])[1]
     return a
@@ -429,25 +431,17 @@ def dense_gcd(a: list, b: list) -> list:
     return leave(_prs_gcd(enter(a)[1], enter(b)[1], normal))
 
 
-def dense_squarefree(a: list):
-    """(unit, [(factor, multiplicity)]) of a nonzero list by Yun's
-    algorithm: monic squarefree coprime factors, ascending multiplicity.
-
-    Yun runs on the normal form w of a (Yun, SYMSAC 1976): over Q a
-    primitive int list, whose quotients by the primitive gcds are exact in
-    Z[x] by Gauss's lemma; the normal factors must rebuild w exactly.
-    """
-    a = _trim(a)
-    enter, normal, leave = _domain(a)
-    w = enter(a)[1]
-    dw = _dense_derivative(w)
-    g = _prs_gcd(w, dw, normal)
-    c, d = dense_divmod(w, g)[0], dense_divmod(dw, g)[0]
-    d = _dense_sub(d, _dense_derivative(c))
-    factors, k = [], 1
+def _yun(w: list, normal) -> list:
+    """[(factor, multiplicity)] of a list w in `normal` form by Yun's
+    algorithm (Yun, SYMSAC 1976): factors in normal form, squarefree and
+    coprime, by ascending multiplicity.  Each quotient by a gcd in normal
+    form is exact (Gauss's lemma), and the factors must rebuild w exactly:
+    a product of normal forms is one."""
+    # the pass at k = 0 divides out gcd(w, w') and records no factor
+    c, d, factors, k = w, _dense_derivative(w), [], 0
     while len(c) > 1:
         g = _prs_gcd(c, d, normal)
-        if len(g) > 1:
+        if k and len(g) > 1:
             factors.append((g, k))
         c = dense_divmod(c, g)[0]
         d = _dense_sub(dense_divmod(d, g)[0], _dense_derivative(c))
@@ -458,40 +452,36 @@ def dense_squarefree(a: list):
             rebuilt = dense_mul(rebuilt, f)
     if rebuilt != w:
         raise AssertionError("squarefree factors do not rebuild p")
-    return a[-1], [(leave(f), m) for f, m in factors]
+    return factors
+
+
+def dense_squarefree(a: list):
+    """(unit, [(factor, multiplicity)]) of a nonzero list by `_yun` on its
+    normal form: monic squarefree coprime factors, ascending multiplicity."""
+    a = _trim(a)
+    enter, normal, leave = _domain(a)
+    return a[-1], [(leave(f), m) for f, m in _yun(enter(a)[1], normal)]
 
 
 # ---------------------------------------------------------------------------
 # Ring-level algorithms
 # ---------------------------------------------------------------------------
 
-def _pseudo_remainder(a: list[MPoly], b: list[MPoly]):
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b (coefficient lists)."""
-    r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    e = (len(r) - 1) - db + 1
-    while r and len(r) - 1 >= db:
-        top = r[-1]
-        r = [c * lb for c in r]
-        base = len(r) - 1 - db
-        for j in range(db + 1):
-            r[base + j] = r[base + j] - top * b[j]
-        r.pop()
-        while r and r[-1].is_zero():
-            r.pop()
-        e -= 1
-    for _ in range(max(e, 0)):
-        r = [c * lb for c in r]
-    return r
 
-
-def _content(coeffs: list[MPoly]) -> MPoly:
-    g = MPoly.zero()
-    for c in coeffs:
-        g = gcd_poly(g, c)
-        if g.is_constant() and not g.is_zero():
-            return MPoly.one()
-    return g
+def _primitive_poly(a: list[MPoly]):
+    """(c, a / c) for a list over K[z2], c its content (the monic gcd of
+    its entries) scaled so that the top entry of a / c has graded-lex
+    leading coefficient 1; (1, []) for [].  Scaled so, a product of normal
+    forms is again one."""
+    if not a:
+        return 1, a
+    c = MPoly.zero()
+    for x in a:
+        c = gcd_poly(c, x)
+        if c == 1:
+            break
+    c = c.scale(a[-1].leading_coefficient())
+    return c, [x.exact_divide(c) for x in a]
 
 
 def _subresultant_prs(a: list[MPoly], b: list[MPoly]):
@@ -508,7 +498,9 @@ def _subresultant_prs(a: list[MPoly], b: list[MPoly]):
         delta = len(a) - len(b)
         if len(a) % 2 == 0 and len(b) % 2 == 0:
             sign = -sign
-        rem = _pseudo_remainder(a, b)
+        # the pseudo-remainder lc(b)^(delta + 1) * a mod b
+        k, _, rem = _pseudo_divmod(a, b)
+        rem = _scale(rem, b[-1] ** (delta + 1 - k))
         divisor = g * h**delta
         a, b = b, [c.exact_divide(divisor) for c in rem]
         g = a[-1]
@@ -521,16 +513,13 @@ def _subresultant_prs(a: list[MPoly], b: list[MPoly]):
 def gcd_poly(a: MPoly, b: MPoly) -> MPoly:
     """The gcd, graded-lex-monic normalized.
 
-    Polynomials in one shared variable go through the dense Euclid
-    (`dense_gcd`); otherwise `_subresultant_prs` in the first variable,
-    whose contents recurse down to that univariate base case.
+    Polynomials in one shared variable go through `dense_gcd`; otherwise
+    the gcd is the gcd of the contents in the first variable times
+    `_prs_gcd` of the primitive parts, the contents recursing down to that
+    univariate case.  A side free of the first variable is its own content.
     """
-    if a.is_zero() and b.is_zero():
-        return MPoly.zero()
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
+    if a.is_zero() or b.is_zero():
+        return (b if a.is_zero() else a).monic()
     if a.is_constant() or b.is_constant():
         return MPoly.one()
     variables = sorted(set(a.vars) | set(b.vars), key=_var_rank)
@@ -538,35 +527,18 @@ def gcd_poly(a: MPoly, b: MPoly) -> MPoly:
     if len(variables) == 1:
         return from_dense(dense_gcd(*kernel_lists(a.dense_in(name),
                                                   b.dense_in(name))), name)
-    # main variable missing from one side (a canonical MPoly keeps only the
-    # variables it uses, so the other side has it): the gcd divides that
-    # other side's content
-    if not b.depends_on(name):
-        return gcd_poly(_content(a.univariate_in(name)), b).monic()
-    if not a.depends_on(name):
-        return gcd_poly(a, _content(b.univariate_in(name))).monic()
-    ua, ub = a.univariate_in(name), b.univariate_in(name)
-    ca, cb = _content(ua), _content(ub)
-    pa = [c.exact_divide(ca) for c in ua]
-    pb = [c.exact_divide(cb) for c in ub]
-    cont = gcd_poly(ca, cb)
-    if len(pa) < len(pb):
-        pa, pb = pb, pa
-    last, nxt, _h, _sign = _subresultant_prs(pa, pb)
-    if nxt:
-        return cont.monic()
-    clast = _content(last)
-    prim = [c.exact_divide(clast) for c in last]
-    result = MPoly.from_univariate([cont * c for c in prim], name)
-    return result.monic()
+    ca, pa = _primitive_poly(a.univariate_in(name))
+    cb, pb = _primitive_poly(b.univariate_in(name))
+    g = MPoly.from_univariate(_prs_gcd(pa, pb, _primitive_poly), name)
+    return (gcd_poly(ca, cb) * g).monic()
 
 
 def squarefree_decompose(p: MPoly):
     """(unit, [(factor, multiplicity)]) with monic squarefree coprime factors.
 
     A polynomial in one variable goes through `dense_squarefree`, in
-    Fractions over Q; otherwise Yun's algorithm runs on the primitive part
-    in the first variable, the content recursing down to that case.
+    Fractions over Q; otherwise `_yun` runs on the primitive part in the
+    first variable, the content recursing down to that case.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -577,30 +549,10 @@ def squarefree_decompose(p: MPoly):
         unit, factors = dense_squarefree(*kernel_lists(p.dense_in(name)))
         return (Coefficient.coerce(unit),
                 [(from_dense(f, name), m) for f, m in factors])
-    ua = p.univariate_in(name)
-    cont = _content(ua)
-    prim = MPoly.from_univariate([c.exact_divide(cont) for c in ua], name)
-    unit_c, factors_c = squarefree_decompose(cont) if not cont.is_constant() \
-        else (cont.constant_value(), [])
-    # Yun's algorithm on the primitive part with respect to `name`
-    factors = []
-    w = prim
-    dw = prim.derivative(name)
-    g = gcd_poly(w, dw)
-    if g.is_constant():
-        factors.append((w.monic(), 1))
-    else:
-        c1 = w.exact_divide(g)
-        d1 = dw.exact_divide(g) - c1.derivative(name)
-        k = 1
-        while not c1.is_constant():
-            a = gcd_poly(c1, d1)
-            if not a.is_constant():
-                factors.append((a.monic(), k))
-            c1 = c1.exact_divide(a)
-            d1 = d1.exact_divide(a) - c1.derivative(name)
-            k += 1
-    merged = factors_c + factors
+    cont, prim = _primitive_poly(p.univariate_in(name))
+    merged = squarefree_decompose(cont)[1] + [
+        (MPoly.from_univariate(f, name).monic(), m)
+        for f, m in _yun(prim, _primitive_poly)]
     rebuilt = MPoly.one()
     for f, m in merged:
         rebuilt = rebuilt * f**m
@@ -746,9 +698,7 @@ def dense_rational_roots(a: list) -> list[Fraction]:
         if any(c.order != 1 for c in a):
             return []
         a = [c.res[0] for c in a]
-    den = 1
-    for v in a:
-        den = den * v.denominator // gcd(den, v.denominator)
+    den = lcm(*(v.denominator for v in a))
     ints = [int(v * den) for v in a]
     roots = []
     low = next(i for i, c in enumerate(ints) if c)
@@ -776,8 +726,8 @@ def dense_rational_roots(a: list) -> list[Fraction]:
     return sorted(roots)
 
 
-def poly_sqrt(p: MPoly) -> MPoly:
-    """w with w^2 == p, sign-normalized; raises NotASquare otherwise.
+def poly_sqrt(p: MPoly, order: int) -> MPoly:
+    """w over Q(zeta_order) with w^2 == p, sign-normalized; else NotASquare.
 
     The terms of w come out in descending graded-lex order, the first a
     root of p's leading term.  With t0 > ... > tk known, p - (t0 + ... +
@@ -788,7 +738,7 @@ def poly_sqrt(p: MPoly) -> MPoly:
     if p.is_zero():
         raise ValueError("zero polynomial")
     lead, c0 = p.leading()
-    roots = kth_roots(c0, 2, p.field_order())
+    roots = kth_roots(c0, 2, order)
     if not roots:
         raise NotASquare(f"coefficient {c0} has no square root in the field")
     e = top = tuple(x // 2 for x in lead)

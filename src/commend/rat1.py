@@ -153,11 +153,11 @@ def commutes1(r1: RatMap1, r2: RatMap1) -> bool:
 
 @dataclass(frozen=True)
 class PullbackDivisor:
-    """Fiber of a point: split rational points plus unsplit residual factors.
+    """Fiber of a point: split points plus unsplit residual factors.
 
-    The rational points are the zeros found per squarefree factor of the
-    fiber form's coefficient list, with infinity from the power of s; see
-    `_form_split`.
+    The split points are the rational zeros found per squarefree factor of
+    the fiber form's coefficient list, with infinity from the power of s
+    (see `_form_split`), and in `_marked_fibers` the marked points.
     """
 
     marked_points: tuple  # of ((a, b), multiplicity)
@@ -262,9 +262,31 @@ def standard_orbifolds(signature: str, points) -> Orbifold1:
     return Orbifold1(tuple(zip(pts, weights)))
 
 
+def _marked_fibers(r: RatMap1, o: Orbifold1):
+    """The marked points' fibers, each affine marked point that is a zero of
+    a residual factor divided out of it by exact evaluation and split; a
+    factor over Q has no rational zero left (`_form_split`)."""
+    affine = sorted((p[1] for p, _w in o.marked if p[0]),
+                    key=Coefficient.sort_key)
+    for alpha, _w in o.marked:
+        fiber = pullback_divisor(r, alpha)
+        points, residual = list(fiber.marked_points), []
+        for f, m in fiber.residual:
+            over_q = f.field_order() == 1
+            for x0 in affine:
+                if not (over_q and x0.order == 1) \
+                        and not f.evaluate({"s": 1, "t": x0}):
+                    q = dense_divmod(f.dense_in("t"), [-x0, 1])[0]
+                    f = _form_from_dense(q, len(q) - 1)
+                    points.append((affine_point(x0), m))
+            if f.total_degree():
+                residual.append((f, m))
+        yield PullbackDivisor(tuple(points), tuple(residual))
+
+
 def is_orbifold_selfcover(r: RatMap1, o: Orbifold1) -> bool:
     """Covering condition: n(f(x)) = mult(f, x) * n(x) at every point."""
-    return _covers(r, o, (pullback_divisor(r, alpha) for alpha, _w in o.marked))
+    return _covers(r, o, _marked_fibers(r, o))
 
 
 def _covers(r: RatMap1, o: Orbifold1, fibers) -> bool:
@@ -364,7 +386,7 @@ def portrait(r: RatMap1, o: Orbifold1) -> Portrait:
     case is an image pattern, matched up to relabelings of the marked points
     that keep the weights.
     """
-    divisors = [pullback_divisor(r, alpha) for alpha, _w in o.marked]
+    divisors = list(_marked_fibers(r, o))
     if not _covers(r, o, divisors):
         raise PreconditionViolated("map is not a self-cover of the orbifold")
     fibers, images = _fiber_data(r, o, divisors)

@@ -101,11 +101,11 @@ def test_criterion_05_ramified_invariance():
     for d in range(2, 6):
         for h in (X**d, chebyshev(d, "monic")):
             f = ex4_descend(h)
-            w = ramified_square_invariance(f, phi)
+            w = ramified_square_invariance(f, phi, 1)
             pulled = phi.substitute({"z1": f.comp1, "z2": f.comp2})
             assert pulled == phi * w * w
             # the witness is recoverable from the quotient alone
-            assert poly_sqrt(pulled.exact_divide(phi)) in (w, -w)
+            assert poly_sqrt(pulled.exact_divide(phi), 1) in (w, -w)
 
 
 def test_criterion_06_critical_orbit_finiteness():

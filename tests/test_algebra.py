@@ -15,11 +15,12 @@ from commend.cli import main
 from commend.errors import (BothZero, NotASquare, NotDivisible, ParseError,
                             UnknownVariable)
 from commend.field import (Coefficient, _dense_sub, _left_inverse,
-                           _solve_linear, _trim,
+                           _pseudo_divmod, _solve_linear, _trim,
                            cyclotomic_coeffs, dense_divmod, dense_inverse_mod,
                            dense_mul, divisors, euler_phi, first_relation,
                            kth_roots, roots_of_unity)
-from commend.mpoly import (MPoly, _dense_derivative, binary_form_resultant,
+from commend.mpoly import (MPoly, _dense_derivative, _var_rank,
+                           binary_form_resultant,
                            dense_gcd, dense_rational_roots, dense_squarefree,
                            forms_share_zero, from_dense, gcd_poly,
                            kernel_lists, poly_sqrt, rational_roots, resultant,
@@ -412,9 +413,9 @@ class TestMPoly:
 
     def test_poly_sqrt(self):
         p = (X + Y.scale(2)) ** 2
-        assert poly_sqrt(p) in ((X + Y.scale(2)), -(X + Y.scale(2)))
+        assert poly_sqrt(p, 1) in ((X + Y.scale(2)), -(X + Y.scale(2)))
         with pytest.raises(NotASquare):
-            poly_sqrt(X**2 + Y**2)
+            poly_sqrt(X**2 + Y**2, 1)
 
     @given(st.lists(rationals, min_size=1, max_size=4),
            st.lists(rationals, min_size=1, max_size=4))
@@ -504,23 +505,33 @@ class TestPolySqrt:
             want = oracle_sqrt(p)
         except NotASquare:
             with pytest.raises(NotASquare):
-                poly_sqrt(p)
+                poly_sqrt(p, p.field_order())
             return
-        assert poly_sqrt(p) == want
+        assert poly_sqrt(p, p.field_order()) == want
 
     @pytest.mark.parametrize("text, order", [
         ("z1^2 + z2^2", 1), ("z1", 1), ("-4*z1^2", 1), ("z1^2 + 2*z1 + 2", 1),
         ("z1^2*z2 + 1", 1), ("2*w*z1^2", 3), ("-3*z1^2 + z2", 3)])
     def test_non_squares(self, text, order):
         with pytest.raises(NotASquare):
-            poly_sqrt(parse_poly(text, order))
+            poly_sqrt(parse_poly(text, order), order)
 
     def test_cyclotomic_squares(self):
         for text, order in (("-z1^2 + 2*w*z1*z2 + z2^2", 4),
                             ("w^2*z1^2 + 2*w*z1 + 1", 3), ("4*w*z1^4", 3)):
             p = parse_poly(text, order)
-            assert poly_sqrt(p) == oracle_sqrt(p)
-            assert poly_sqrt(p) ** 2 == p
+            assert poly_sqrt(p, order) == oracle_sqrt(p)
+            assert poly_sqrt(p, order) ** 2 == p
+
+
+    def test_root_takes_the_session_field(self):
+        # -z1^2 has rational coefficients; its root i*z1 needs Q(zeta_4)
+        p = parse_poly("-z1^2")
+        assert poly_sqrt(p, 4) == parse_poly("w*z1", 4)
+        assert poly_sqrt(p, 12) == parse_poly("w*z1", 4)
+        for order in (1, 3):
+            with pytest.raises(NotASquare):
+                poly_sqrt(p, order)
 
 
 class TestFirstRelation:
@@ -946,6 +957,230 @@ class TestKernelOracle:
         results = [dense_gcd(a_off, b), dense_squarefree(b),
                    _outcome(dense_inverse_mod, a_off, b)]
         assert not any(isinstance(c, float) for c in _entries(results))
+
+
+# The ring layer's own MPoly-list algorithms before K[z2][z1] ran on the
+# list kernel, kept as oracles: the pseudo-remainder, the subresultant PRS
+# that every bivariate gcd read its answer from, and Yun's loop on MPolys.
+# Their univariate base cases are `dense_gcd` and `dense_squarefree`, which
+# `TestKernelOracle` checks against the field Euclid.
+
+
+def oracle_pseudo_remainder(a, b):
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b of MPoly
+    lists."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    e = (len(r) - 1) - db + 1
+    while r and len(r) - 1 >= db:
+        top = r[-1]
+        r = [c * lb for c in r]
+        base = len(r) - 1 - db
+        for j in range(db + 1):
+            r[base + j] = r[base + j] - top * b[j]
+        r.pop()
+        while r and r[-1].is_zero():
+            r.pop()
+        e -= 1
+    for _ in range(max(e, 0)):
+        r = [c * lb for c in r]
+    return r
+
+
+def oracle_subresultant_prs(a, b):
+    """(last, nxt, h, sign) of the subresultant PRS of MPoly lists with
+    deg a >= deg b >= 1."""
+    g, h, sign = MPoly.one(), MPoly.one(), 1
+    while True:
+        delta = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
+            sign = -sign
+        rem = oracle_pseudo_remainder(a, b)
+        divisor = g * h**delta
+        a, b = b, [c.exact_divide(divisor) for c in rem]
+        g = a[-1]
+        h = h if delta == 0 else (g**delta).exact_divide(h**(delta - 1)) \
+            if delta > 1 else g
+        if len(b) <= 1:
+            return a, b, h, sign
+
+
+def oracle_content(coeffs):
+    g = MPoly.zero()
+    for c in coeffs:
+        g = oracle_gcd_poly(g, c)
+        if g.is_constant() and not g.is_zero():
+            return MPoly.one()
+    return g
+
+
+def oracle_gcd_poly(a, b):
+    """The monic gcd, read off the subresultant PRS in the first variable,
+    with a branch for each side free of that variable."""
+    if a.is_zero() and b.is_zero():
+        return MPoly.zero()
+    if a.is_zero():
+        return b.monic()
+    if b.is_zero():
+        return a.monic()
+    if a.is_constant() or b.is_constant():
+        return MPoly.one()
+    variables = sorted(set(a.vars) | set(b.vars), key=_var_rank)
+    name = variables[0]
+    if len(variables) == 1:
+        return from_dense(dense_gcd(*kernel_lists(a.dense_in(name),
+                                                  b.dense_in(name))), name)
+    if not b.depends_on(name):
+        return oracle_gcd_poly(oracle_content(a.univariate_in(name)),
+                               b).monic()
+    if not a.depends_on(name):
+        return oracle_gcd_poly(a, oracle_content(
+            b.univariate_in(name))).monic()
+    ua, ub = a.univariate_in(name), b.univariate_in(name)
+    ca, cb = oracle_content(ua), oracle_content(ub)
+    pa = [c.exact_divide(ca) for c in ua]
+    pb = [c.exact_divide(cb) for c in ub]
+    cont = oracle_gcd_poly(ca, cb)
+    if len(pa) < len(pb):
+        pa, pb = pb, pa
+    last, nxt, _h, _sign = oracle_subresultant_prs(pa, pb)
+    if nxt:
+        return cont.monic()
+    clast = oracle_content(last)
+    prim = [c.exact_divide(clast) for c in last]
+    return MPoly.from_univariate([cont * c for c in prim], name).monic()
+
+
+def oracle_squarefree_decompose(p):
+    """(unit, [(factor, multiplicity)]) by Yun's loop on MPolys in the
+    first variable, the content recursing."""
+    if p.is_constant():
+        return p.constant_value(), []
+    name = p.vars[0]
+    if len(p.vars) == 1:
+        unit, factors = dense_squarefree(*kernel_lists(p.dense_in(name)))
+        return (Coefficient.coerce(unit),
+                [(from_dense(f, name), m) for f, m in factors])
+    ua = p.univariate_in(name)
+    cont = oracle_content(ua)
+    w = MPoly.from_univariate([c.exact_divide(cont) for c in ua], name)
+    factors = oracle_squarefree_decompose(cont)[1]
+    dw = w.derivative(name)
+    g = oracle_gcd_poly(w, dw)
+    if g.is_constant():
+        factors.append((w.monic(), 1))
+    else:
+        c1 = w.exact_divide(g)
+        d1 = dw.exact_divide(g) - c1.derivative(name)
+        k = 1
+        while not c1.is_constant():
+            a = oracle_gcd_poly(c1, d1)
+            if not a.is_constant():
+                factors.append((a.monic(), k))
+            c1 = c1.exact_divide(a)
+            d1 = d1.exact_divide(a) - c1.derivative(name)
+            k += 1
+    rebuilt = MPoly.one()
+    for f, m in factors:
+        rebuilt = rebuilt * f**m
+    return p.exact_divide(rebuilt).constant_value(), factors
+
+
+def oracle_resultant(a, b, name):
+    m, n = a.degree_in(name), b.degree_in(name)
+    if m == 0 or n == 0:
+        return a**n * b**m
+    ua, ub = a.univariate_in(name), b.univariate_in(name)
+    swap = -1 if m < n and m * n % 2 else 1
+    last, nxt, h, sign = oracle_subresultant_prs(
+        *((ua, ub) if m >= n else (ub, ua)))
+    if not nxt:
+        return MPoly.zero()
+    d = len(last) - 1
+    res = (nxt[0]**d).exact_divide(h**(d - 1))
+    return res if sign * swap == 1 else -res
+
+
+@st.composite
+def factored(draw, order, max_factors=2):
+    """A nonzero scalar times up to `max_factors` factors, each with
+    multiplicity 1 or 2, in z1 and z2, in z1 alone or in z2 alone."""
+    p = MPoly.constant(draw(field_elements(order).filter(bool)))
+    for _ in range(draw(st.integers(0, max_factors))):
+        name, others = draw(st.sampled_from(
+            [("z1", ["z2"]), ("z2", ["z1"]), ("z1", []), ("z2", [])]))
+        f = draw(poly_in(order, name, others, 1, 2))
+        p = p * f ** draw(st.integers(1, 2))
+    return p
+
+
+@st.composite
+def kernel_lists_of(draw, ring, min_size):
+    """A trimmed list of ints, Q(zeta_3) Coefficients or MPolys in z2."""
+    entry = {"int": st.integers(-9, 9), "coefficient": field_elements(3),
+             "mpoly": poly_in(3, "z2", [], 0, 2)}[ring]
+    a = _trim(draw(st.lists(entry, min_size=min_size, max_size=5)))
+    assume(len(a) >= min_size)
+    return a
+
+
+class TestRecursiveRing:
+    """K[z2][z1] on the list kernel against the ring layer's own
+    algorithms that it replaced, over Q and Q(zeta_3)."""
+
+    @given(st.sampled_from([1, 3]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_gcd_squarefree_and_resultant_match_the_oracles(self, order,
+                                                            data):
+        common = data.draw(factored(order, 1))
+        a = common * data.draw(factored(order))
+        b = common * data.draw(factored(order, 1))
+        assert gcd_poly(a, b) == oracle_gcd_poly(a, b)
+        assert gcd_poly(b, a) == oracle_gcd_poly(b, a)
+        for p in (a, b):
+            assert squarefree_decompose(p) == oracle_squarefree_decompose(p)
+        for name in ("z1", "z2"):
+            assert resultant(a, b, name) == oracle_resultant(a, b, name)
+
+    def test_sides_free_of_a_variable_and_zero(self):
+        z1, z2 = MPoly.var("z1"), MPoly.var("z2")
+        cases = [(z2**2 - 1, (z1 + z2) * (z2 - 1)), (z2 + 1, z1**2 + z1),
+                 (z1**2 - 4, (z1 - 2) * z2), (MPoly.zero(), (z1 - z2) * 3),
+                 ((z1 - z2) ** 2 * (z1 + 1), MPoly.zero())]
+        for a, b in cases:
+            assert gcd_poly(a, b) == oracle_gcd_poly(a, b)
+            assert gcd_poly(b, a) == oracle_gcd_poly(b, a)
+        p = (z1 - z2) ** 3 * (z2 + 1) ** 2 * (z1 + 2) * 5
+        assert squarefree_decompose(p) == oracle_squarefree_decompose(p)
+        # the content's factors first, then the primitive part's
+        assert squarefree_decompose(p) == (Coefficient.rational(5), [
+            (z2 + 1, 2), (z1 + 2, 1), (z1 - z2, 3)])
+
+    @given(st.sampled_from(["int", "coefficient", "mpoly"]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pseudo_divmod_identity(self, ring, data):
+        # lc(b)^k * a == q * b + r with deg r < deg b, k at most the
+        # number of steps, 0 for a monic b
+        a = data.draw(kernel_lists_of(ring, 0))
+        b = data.draw(kernel_lists_of(ring, 1))
+        k, q, r = _pseudo_divmod(a, b)
+        assert len(r) < len(b)
+        assert 0 <= k <= max(len(a) - len(b) + 1, 0)
+        if b[-1] == 1:
+            assert k == 0
+        assert _dense_sub(dense_mul([b[-1] ** k], a), dense_mul(q, b)) == r
+        if ring != "coefficient" and b[-1] != 1:
+            # a lead that is not a field element divides exactly or raises
+            assert dense_divmod(dense_mul(q, b), b) == (_trim(q), [])
+            if r:
+                with pytest.raises(NotDivisible):
+                    dense_divmod(_dense_sub(dense_mul(q, b), r), b)
+
+    def test_mpoly_truth_value(self):
+        assert not MPoly.zero()
+        assert MPoly.one() and X and -Y
+        assert not (X - X)
+        assert _trim([X, MPoly.zero(), X - X]) == [X]
 
 
 class TestParseRender:

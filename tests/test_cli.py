@@ -266,3 +266,39 @@ class TestShorthandIntegers:
             got = capsys.readouterr().out
             main(plain)
             assert got == capsys.readouterr().out
+
+
+class TestOptionValues:
+    """An option value that begins with '-' may be its own argv item: it
+    gives the bytes of `--name=value`, and -h and --help still print help."""
+
+    @pytest.mark.parametrize("separate, attached", [
+        (["lattes", "--a", "1/2", "--b", "-3/4", "--n", "3"],
+         ["lattes", "--a", "1/2", "--b=-3/4", "--n", "3"]),
+        (["invariant", "--f", "(z1^2, z2^2)", "--curve", "-z1"],
+         ["invariant", "--f", "(z1^2, z2^2)", "--curve=-z1"]),
+        (["intersection-mult", "--g1", "-z1 + z2^2", "--g2", "-z2"],
+         ["intersection-mult", "--g1=-z1 + z2^2", "--g2=-z2"]),
+        (["iterate", "--f", "(z1^2, z2^2)", "--n", "-1"],
+         ["iterate", "--f", "(z1^2, z2^2)", "--n=-1"]),
+        (["--cyclotomic", "3", "orbifold-cover", "--map", "-x^2",
+          "--orbifold", "inf:inf,-1:2"],
+         ["--cyclotomic", "3", "orbifold-cover", "--map=-x^2",
+          "--orbifold", "inf:inf,-1:2"]),
+    ])
+    def test_separate_value_gives_the_attached_bytes(self, capsys, separate,
+                                                     attached):
+        code = main(attached)
+        want = capsys.readouterr().out
+        assert "command" in json.loads(want)
+        assert main(separate) == code
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["lattes", "-h"], ["lattes", "--help"],
+        ["lattes", "--a", "1", "-h"], ["lattes", "--a", "1", "--help"]])
+    def test_help_still_prints_help(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: commend")

@@ -142,8 +142,8 @@ class TestInvariance:
             is_totally_invariant(POW2, MPoly.var("z1"))
 
     def test_ramified_square_invariance(self):
-        w2 = ramified_square_invariance(DESC2, PHI)
-        w3 = ramified_square_invariance(DESC3, PHI)
+        w2 = ramified_square_invariance(DESC2, PHI, 1)
+        w3 = ramified_square_invariance(DESC3, PHI, 1)
         pulled2 = PHI.substitute({"z1": DESC2.comp1, "z2": DESC2.comp2})
         assert pulled2 == PHI * w2 * w2
         pulled3 = PHI.substitute({"z1": DESC3.comp1, "z2": DESC3.comp2})

@@ -3,8 +3,10 @@ criterion-10 pairs, the P^1 commands, the critical-curve commands, the
 image curves of maps outside the families below, the portraits of Lattes
 maps induced on quotients, a conjugated Ex3 pair with scalars other than 1,
 larger search grids, the Lattes maps of the division-polynomial builder,
-two non-square ramified invariances and a critical orbit whose critical
-part splits into two lines, run in-process through `cli.main`.
+two non-square ramified invariances, a critical orbit whose critical part
+splits into two lines, a Lattes self-cover whose marked points leave Q, a
+ramified invariance over Q(i) and option values that begin with '-', run
+in-process through `cli.main`.
 
 `tests/data/reports.txt` holds, for each command, a `$ commend ...` line and
 the exact stdout bytes of the report.  Regenerate it (only when a report is
@@ -285,6 +287,22 @@ SQRT_AND_SPLIT_COMMANDS = [
 ]
 
 
+# a Lattes self-cover over Q(zeta_3) whose marked points w, -1 and 1 - w
+# lie in one unsplit cubic of the fibre over infinity; a ramified
+# invariance whose witness needs the session's i; option values that begin
+# with '-' given as their own argv item
+SESSION_AND_ARGV_COMMANDS = [
+    ["--cyclotomic", "3", "orbifold-cover", "--map=lattes:2*w,1+2*w,2",
+     "--orbifold=inf:2,w:2,-1:2,1-w:2"],
+    ["--cyclotomic", "3", "portrait", "--map=lattes:2*w,1+2*w,2",
+     "--orbifold=inf:2,w:2,-1:2,1-w:2"],
+    ["--cyclotomic", "4", "ramified-invariance", "--f", "(-z1^3, z2)",
+     "--phi", "z1"],
+    ["lattes", "--a", "1/2", "--b", "-3/4", "--n", "3"],
+    ["invariant", "--f", "(z1^2, z2^2)", "--curve", "-z1"],
+]
+
+
 def golden_commands():
     classify = [["classify", "--f", f"({f1.comp1}, {f1.comp2})",
                  "--g", f"({f2.comp1}, {f2.comp2})"]
@@ -294,7 +312,8 @@ def golden_commands():
                  for m, o, _case in portrait_maps()[2:]]
     return (README_COMMANDS + classify + [ex3_scaled_command()] + P1_COMMANDS
             + critical_layer_commands() + IMAGE_CURVE_COMMANDS + portraits
-            + SEARCH_COMMANDS + LATTES_COMMANDS + SQRT_AND_SPLIT_COMMANDS)
+            + SEARCH_COMMANDS + LATTES_COMMANDS + SQRT_AND_SPLIT_COMMANDS
+            + SESSION_AND_ARGV_COMMANDS)
 
 
 def render_reports() -> str:
