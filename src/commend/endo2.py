@@ -109,30 +109,37 @@ def commutes(f: PlaneEndo, g: PlaneEndo) -> bool:
 def iterate(f: PlaneEndo, n: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> PlaneEndo:
     if n < 0:
         raise PreconditionViolated("iterate count must be nonnegative")
-    if f.degree**n > degree_cap:
-        raise DegreeLimitExceeded(f"degree {f.degree}^{n} exceeds cap {degree_cap}")
+    # for d >= 2, d^n >= 2^n > cap once n reaches cap's bit length
+    d = f.degree
+    if (d > 1 and n >= degree_cap.bit_length()) or d**n > degree_cap:
+        raise DegreeLimitExceeded(f"degree {d}^{n} exceeds cap {degree_cap}")
     result = PlaneEndo.identity()
     for _ in range(n):
         result = compose(f, result)
     return result
 
 
-def extends_to_p2(f: PlaneEndo) -> bool:
-    t1, t2 = f.top_forms()
-    if t1.is_zero() or t2.is_zero():
-        return False
+def _top_lists(f: PlaneEndo):
+    """(d, S, T): the degree-d top forms of f's components at z1 = 1, the
+    entry of index k that of z1^(d-k) z2^k, with `kernel_lists` entries."""
     d = f.degree
-    return not forms_share_zero(t1, t2, "z1", "z2", d, d)
+    S, T = kernel_lists(*([comp.coefficient_of({"z1": d - k, "z2": k})
+                           for k in range(d + 1)] for comp in (f.comp1, f.comp2)))
+    return d, S, T
+
+
+def extends_to_p2(f: PlaneEndo) -> bool:
+    d, S, T = _top_lists(f)
+    return not forms_share_zero(S, T, d, d)
 
 
 def restrict_infinity(f: PlaneEndo):
-    """The induced self-map of the line at infinity, as a RatMap1."""
+    """The induced self-map of the line at infinity, as a RatMap1 in
+    s = z1, t = z2."""
     from .rat1 import RatMap1
     if not extends_to_p2(f):
         raise NotExtendable("no holomorphic extension to the projective plane")
-    t1, t2 = f.top_forms()
-    bind = {"z1": MPoly.var("s"), "z2": MPoly.var("t")}
-    return RatMap1(t1.substitute(bind), t2.substitute(bind))
+    return RatMap1.from_lists(*_top_lists(f))
 
 
 def critical_divisor(f: PlaneEndo) -> CurveDivisor:

@@ -15,7 +15,7 @@ from .errors import (NotCommuting, NotSplit, NotSymmetric, PreconditionViolated,
                      ScalarNotSolvable)
 from .field import Coefficient, _dense_sub, dense_mul, kth_roots
 from .mpoly import MPoly, kernel_lists, rational_roots
-from .rat1 import POINT_INF, Orbifold1, RatMap1, _form_from_dense, affine_point
+from .rat1 import POINT_INF, Orbifold1, RatMap1, affine_point
 
 X, Y = MPoly.var("x"), MPoly.var("y")
 Z1, Z2 = MPoly.var("z1"), MPoly.var("z2")
@@ -293,7 +293,7 @@ def elliptic_lattes(curve: EllipticCurveData, n: int) -> RatMap1:
     deg, got = n * n, max(len(num), len(den)) - 1
     if got != deg:
         raise AssertionError(f"multiplication by {n} has degree {got}, not {deg}")
-    return RatMap1(_form_from_dense(den, deg), _form_from_dense(num, deg))
+    return RatMap1.from_lists(deg, den, num)
 
 
 def two_torsion_orbifold(curve: EllipticCurveData) -> Orbifold1:

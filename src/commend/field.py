@@ -91,12 +91,13 @@ def dense_mul(a: list, b: list) -> list:
     if not a or not b:
         return []
     # seed every slot with one product (row b[0] and column a[-1]), so the
-    # entries keep the inputs' type, then add the others
+    # entries keep the inputs' type, then add the other nonzero products
     out = [x * b[0] for x in a] + [a[-1] * y for y in b[1:]]
+    rest = [(j, y) for j, y in enumerate(b) if j and y]
     for i, x in enumerate(a[:-1]):
         if x:
-            for j in range(1, len(b)):
-                out[i + j] = out[i + j] + x * b[j]
+            for j, y in rest:
+                out[i + j] = out[i + j] + x * y
     return _trim(out)
 
 

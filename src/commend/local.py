@@ -246,21 +246,6 @@ def alpha_exponent(h: MPoly) -> Fraction:
     return best
 
 
-@dataclass(frozen=True)
-class NewtonData:
-    support: tuple  # of (k, l)
-    d: int
-
-    @staticmethod
-    def of(h: MPoly) -> "NewtonData":
-        support = tuple(sorted((k, l) for k, l, _c in _support_xy(h)))
-        if not support:
-            raise PreconditionViolated("zero polynomial")
-        d = max((l for k, l in support if k == 0), default=0)
-    # d records the y-degree of the x-free part
-        return NewtonData(support, d)
-
-
 def _compose_1d(p: MPoly, q: MPoly) -> MPoly:
     return p.substitute({"y": q})
 

@@ -1,8 +1,15 @@
-"""Self-maps of the projective line as pairs of binary forms.
+"""Self-maps of the projective line on the dense list kernel.
 
 Convention: a point is [s:t]; the affine coordinate x corresponds to [1:x]
-and infinity to [0:1], so polynomial maps fix [0:1].  Projective equality is
-always tested by cross-multiplication, never by chart normalization.
+and infinity to [0:1], so polynomial maps fix [0:1].  A point is kept in its
+normal form, [0:1] or [1:x] (`normalize_point`), so points compare by ==
+and go into sets.
+
+A map of degree d is [formS : formT], and it stores d and the coefficient
+lists S = formS(1, t) and T = formT(1, t), the entry of index k that of
+s^(d-k) t^k.  The two lists hold Fractions when every entry is rational,
+else Coefficients (`_uniform`), and each list of a fiber holds one of the
+two types, so the kernel never meets a bare int (1 / int is a float).
 """
 
 from __future__ import annotations
@@ -14,10 +21,11 @@ from math import inf
 
 from .errors import (BadPointCount, InfinityWeightViolation, NoCaseMatch,
                      PreconditionViolated)
-from .field import (Coefficient, dense_divmod, dense_inverse_mod, dense_mul,
-                    first_relation)
-from .mpoly import (MPoly, dense_eval, dense_gcd, dense_rational_roots,
-                    dense_squarefree, forms_share_zero, kernel_lists)
+from .field import (Coefficient, _dense_sub, _scale, _trim, dense_divmod,
+                    dense_inverse_mod, dense_mul, first_relation)
+from .mpoly import (MPoly, _dense_derivative, dense_eval, dense_gcd,
+                    dense_rational_roots, dense_squarefree, forms_share_zero,
+                    kernel_lists)
 
 # ---------------------------------------------------------------------------
 # Projective points
@@ -40,20 +48,14 @@ def affine_point(x):
 POINT_INF = (Coefficient.zero(), Coefficient.one())
 
 
-def points_equal(p, q) -> bool:
-    return (p[0] * q[1] - p[1] * q[0]).is_zero()
-
-
-def homogenise(p: MPoly, d: int) -> MPoly:
-    """The degree-d binary form s^d p(t/s) of a polynomial p in x alone."""
-    if set(p.vars) - {"x"} or not 0 <= p.total_degree() <= d:
-        raise ValueError(f"need a nonzero polynomial in x of degree at most {d}")
-    return _form_from_dense(p.dense_in("x"), d)
-
-
 def _form_from_dense(a: list, d: int) -> MPoly:
     """The degree-d binary form sum a[k] s^(d-k) t^k."""
     return MPoly.make(("s", "t"), {(d - k, k): c for k, c in enumerate(a)})
+
+
+def _uniform(*lists):
+    """The lists with one entry type, as `kernel_lists` gives it."""
+    return kernel_lists(*([Coefficient.coerce(c) for c in a] for a in lists))
 
 
 # ---------------------------------------------------------------------------
@@ -62,13 +64,15 @@ def _form_from_dense(a: list, d: int) -> MPoly:
 
 
 class RatMap1:
-    """The self-map [s:t] -> [formS : formT] of P^1.
+    """The self-map [s:t] -> [formS : formT] of P^1, stored as its degree d
+    and the lists S and T of the forms at s = 1.
 
-    The forms are homogeneous of one degree d and share no zero in P^1
-    (`forms_share_zero`), so d is the degree of the map.
+    The forms share no zero in P^1 (`forms_share_zero` on S and T), so d is
+    the degree of the map and at least one list has degree d.  `formS` and
+    `formT` are views built from the lists.
     """
 
-    __slots__ = ("formS", "formT")
+    __slots__ = ("degree", "S", "T")
 
     def __init__(self, formS, formT):
         formS, formT = MPoly.coerce(formS), MPoly.coerce(formT)
@@ -76,24 +80,37 @@ class RatMap1:
         if bad:
             raise ValueError(f"forms must live in s, t (got {bad})")
         d = max(formS.total_degree(), formT.total_degree())
-        for f in (formS, formT):
-            if not f.is_zero():
-                if any(sum(e) != d for e in f.terms):
-                    raise ValueError("components must be homogeneous of equal degree")
-        if formS.is_zero() or formT.is_zero():
-            if formS.is_zero() and formT.is_zero():
-                raise ValueError("zero map")
-        if forms_share_zero(formS, formT, "s", "t", d, d):
+        if any(sum(e) != d for f in (formS, formT) for e in f.terms):
+            raise ValueError("components must be homogeneous of equal degree")
+        if formS.is_zero() and formT.is_zero():
+            raise ValueError("zero map")
+        self._store(d, formS.dense_in("t"), formT.dense_in("t"))
+
+    @staticmethod
+    def from_lists(d: int, S: list, T: list) -> "RatMap1":
+        """The map of degree d whose forms at s = 1 are the lists S and T,
+        with entries of any field type."""
+        r = object.__new__(RatMap1)
+        r._store(d, S, T)
+        return r
+
+    def _store(self, d, S, T):
+        S, T = map(_trim, _uniform(S, T))
+        if forms_share_zero(S, T, d, d):
             raise ValueError("degenerate map: forms share a projective zero")
-        object.__setattr__(self, "formS", formS)
-        object.__setattr__(self, "formT", formT)
+        for name, value in (("degree", d), ("S", S), ("T", T)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
         raise AttributeError("RatMap1 is immutable")
 
     @property
-    def degree(self) -> int:
-        return max(self.formS.total_degree(), self.formT.total_degree())
+    def formS(self) -> MPoly:
+        return _form_from_dense(self.S, self.degree)
+
+    @property
+    def formT(self) -> MPoly:
+        return _form_from_dense(self.T, self.degree)
 
     @staticmethod
     def identity() -> "RatMap1":
@@ -101,41 +118,37 @@ class RatMap1:
 
     @staticmethod
     def from_polynomial(p: MPoly) -> "RatMap1":
-        """The self-map [s^d : homogenization of p] of a polynomial in x."""
+        """The self-map [s^d : s^d p(t/s)] of a polynomial p in x, d = deg p."""
         d = p.total_degree()
-        return RatMap1(MPoly.var("s", d), homogenise(p, d))
+        if set(p.vars) - {"x"} or d < 0:
+            raise ValueError(f"need a nonzero polynomial in x of degree at most {d}")
+        return RatMap1.from_lists(d, [1], p.dense_in("x"))
 
     def apply(self, point):
-        """The image of `point`, normalised.  At [1:x] each form's
-        coefficient list is evaluated at x by Horner's rule, in Fractions
-        when x and the coefficients are rational; at [0:1] the image is
-        the forms' t^d coefficients."""
+        """The image of `point`, normalised: S and T evaluated at x by
+        Horner's rule at [1:x], in Fractions when x is rational and the
+        lists are; their entries of index d at [0:1]."""
         s, x = normalize_point(*point)
         if not s:
             d = self.degree
-            return normalize_point(self.formS.coefficient_of({"t": d}),
-                                   self.formT.coefficient_of({"t": d}))
-
-        def value(form):
-            (x_,), coeffs = kernel_lists([x], form.dense_in("t"))
-            return dense_eval(coeffs, x_)
-
-        return normalize_point(value(self.formS), value(self.formT))
+            return normalize_point(*(a[d] if len(a) > d else 0
+                                     for a in (self.S, self.T)))
+        if x.order == 1:
+            x = x.res[0]
+        return normalize_point(dense_eval(self.S, x), dense_eval(self.T, x))
 
     def __eq__(self, other):
+        # two maps in lowest terms agree iff S1/T1 == S2/T2
         if not isinstance(other, RatMap1):
             return NotImplemented
-        return (self.formS * other.formT - self.formT * other.formS).is_zero()
+        return dense_mul(self.S, other.T) == dense_mul(self.T, other.S)
 
     def __hash__(self):
-        # hash by projectively normalized forms
-        lead = None
-        for form in (self.formS, self.formT):
-            if not form.is_zero():
-                lead = form.leading_coefficient()
-                break
-        inv = lead.inverse()
-        return hash((self.formS.scale(inv), self.formT.scale(inv)))
+        # the lists scaled to a top entry 1, as Coefficients so that a list
+        # of Fractions hashes like one of rational Coefficients
+        top = (self.S if len(self.S) > self.degree else self.T)[-1]
+        return hash(tuple(tuple(Coefficient.coerce(c / top) for c in a)
+                          for a in (self.S, self.T)))
 
     def __repr__(self):
         return f"RatMap1([{self.formS} : {self.formT}])"
@@ -156,52 +169,52 @@ class PullbackDivisor:
     """Fiber of a point: split points plus unsplit residual factors.
 
     The split points are the rational zeros found per squarefree factor of
-    the fiber form's coefficient list, with infinity from the power of s
-    (see `_form_split`), and in `_marked_fibers` the marked points.
+    the fiber's list, with infinity from the drop in its degree (see
+    `_form_split`), and in `_marked_fibers` the marked points.  A residual
+    factor is a monic squarefree list in t, its zeros the points [1:t].
     """
 
     marked_points: tuple  # of ((a, b), multiplicity)
-    residual: tuple       # of (squarefree form, multiplicity)
+    residual: tuple       # of (monic squarefree list, multiplicity)
 
     def total_multiplicity(self) -> int:
         return (sum(m for _p, m in self.marked_points)
-                + sum(f.total_degree() * m for f, m in self.residual))
+                + sum((len(f) - 1) * m for f, m in self.residual))
 
     def distinct_count(self) -> int:
         return (len(self.marked_points)
-                + sum(f.total_degree() for f, _m in self.residual))
+                + sum(len(f) - 1 for f, _m in self.residual))
 
 
-def _form_split(form: MPoly):
-    """The zeros of a nonzero binary form, split by multiplicity.
+def _form_split(a: list, d: int):
+    """The zeros of the degree-d binary form whose list at s = 1 is the
+    nonzero a, split by multiplicity.
 
-    Returns ([(point, mult)], [(residual form, mult)]): infinity first, then
-    the rational points in ascending order, and per multiplicity one
-    squarefree form carrying the zeros left unsplit.  Everything runs on the
-    coefficient list of form(1, x), in Fractions over Q: infinity's
-    multiplicity is the drop in its degree, `dense_squarefree` splits it by
-    multiplicity, `dense_rational_roots` finds each factor's rational zeros
-    and synthetic division strips them, and each residual factor is
-    homogenised from its list.
+    Returns ([(point, mult)], [(residual list, mult)]): infinity first, of
+    multiplicity d - deg a, then the rational points in ascending order,
+    and per multiplicity one monic squarefree list carrying the zeros left
+    unsplit.  `dense_squarefree` splits a by multiplicity,
+    `dense_rational_roots` finds each factor's rational zeros and synthetic
+    division strips them; over Q all of it runs in Fractions.
     """
-    (aff,) = kernel_lists(form.dense_in("t"))
-    k = form.total_degree() - (len(aff) - 1)
+    k = d - (len(a) - 1)
     points = [(POINT_INF, k)] if k else []
     affine, residual = [], []
-    for f, m in dense_squarefree(aff)[1]:
+    for f, m in dense_squarefree(a)[1]:
         roots = dense_rational_roots(f)
         for x0 in roots:
             f = dense_divmod(f, [-x0, Fraction(1)])[0]
         affine += [(x0, m) for x0 in roots]
         if len(f) > 1:
-            residual.append((_form_from_dense(f, len(f) - 1), m))
+            residual.append((f, m))
     return points + [(affine_point(x0), m) for x0, m in sorted(affine)], residual
 
 
 def pullback_divisor(r: RatMap1, point) -> PullbackDivisor:
-    """The fiber of `point`: the zeros of b*formS - a*formT, by `_form_split`."""
-    a, b = normalize_point(*point)
-    points, residual = _form_split(r.formS.scale(b) - r.formT.scale(a))
+    """The fiber of `point` [a:b]: the zeros of b*S - a*T, by `_form_split`."""
+    (a, b), S, T = _uniform(normalize_point(*point), r.S, r.T)
+    points, residual = _form_split(_dense_sub(_scale(S, b), _scale(T, a)),
+                                   r.degree)
     return PullbackDivisor(tuple(points), tuple(residual))
 
 
@@ -212,29 +225,26 @@ def pullback_divisor(r: RatMap1, point) -> PullbackDivisor:
 
 @dataclass(frozen=True)
 class Orbifold1:
+    """Marked points of P^1 with weights; the points are stored normalised,
+    and `weight_of` and `index_of` take normalised points."""
+
     marked: tuple  # of ((a, b), weight) with weight int >= 2 or math.inf
 
     def __post_init__(self):
-        pts = [p for p, _w in self.marked]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if points_equal(pts[i], pts[j]):
-                    raise ValueError("marked points must be pairwise distinct")
-        for _p, w in self.marked:
+        marked = tuple((normalize_point(*p), w) for p, w in self.marked)
+        object.__setattr__(self, "marked", marked)
+        if len({p for p, _w in marked}) != len(marked):
+            raise ValueError("marked points must be pairwise distinct")
+        for _p, w in marked:
             if w != inf and (not isinstance(w, int) or w < 2):
                 raise ValueError("weights must be integers >= 2 or infinity")
 
     def weight_of(self, point):
-        for p, w in self.marked:
-            if points_equal(p, point):
-                return w
-        return 1
+        return dict(self.marked).get(point, 1)
 
     def index_of(self, point):
-        for i, (p, _w) in enumerate(self.marked):
-            if points_equal(p, point):
-                return i
-        return None
+        return next((i for i, (p, _w) in enumerate(self.marked)
+                     if p == point), None)
 
 
 def parabolic_check(o: Orbifold1) -> bool:
@@ -258,28 +268,26 @@ def standard_orbifolds(signature: str, points) -> Orbifold1:
     if len(points) != len(weights):
         raise BadPointCount(
             f"signature {signature} needs {len(weights)} points, got {len(points)}")
-    pts = [normalize_point(*p) for p in points]
-    return Orbifold1(tuple(zip(pts, weights)))
+    return Orbifold1(tuple(zip(points, weights)))
 
 
 def _marked_fibers(r: RatMap1, o: Orbifold1):
     """The marked points' fibers, each affine marked point that is a zero of
     a residual factor divided out of it by exact evaluation and split; a
     factor over Q has no rational zero left (`_form_split`)."""
-    affine = sorted((p[1] for p, _w in o.marked if p[0]),
-                    key=Coefficient.sort_key)
+    affine = sorted((p for p, _w in o.marked if p[0]),
+                    key=lambda p: p[1].sort_key())
     for alpha, _w in o.marked:
         fiber = pullback_divisor(r, alpha)
         points, residual = list(fiber.marked_points), []
         for f, m in fiber.residual:
-            over_q = f.field_order() == 1
-            for x0 in affine:
-                if not (over_q and x0.order == 1) \
-                        and not f.evaluate({"s": 1, "t": x0}):
-                    q = dense_divmod(f.dense_in("t"), [-x0, 1])[0]
-                    f = _form_from_dense(q, len(q) - 1)
-                    points.append((affine_point(x0), m))
-            if f.total_degree():
+            over_q = type(f[-1]) is Fraction
+            for p in affine:
+                x0 = p[1]
+                if not (over_q and x0.order == 1) and not dense_eval(f, x0):
+                    f = _uniform(dense_divmod(f, [-x0, 1])[0])[0]
+                    points.append((p, m))
+            if len(f) > 1:
                 residual.append((f, m))
         yield PullbackDivisor(tuple(points), tuple(residual))
 
@@ -308,7 +316,7 @@ def _covers(r: RatMap1, o: Orbifold1, fibers) -> bool:
         if w == inf:
             # all preimages must be inside the weight-infinity set
             for p, _m in fiber.marked_points:
-                if all(not points_equal(p, q) for q in inf_points):
+                if p not in inf_points:
                     raise InfinityWeightViolation(
                         "a weight-infinity point has a finite-weight preimage")
             if fiber.residual:
@@ -357,7 +365,7 @@ def _fiber_data(r: RatMap1, o: Orbifold1, divisors):
             else:
                 marked_part.append((idx, m))
         for f, m in fiber.residual:
-            unmarked_pts.append((f.total_degree(), m))
+            unmarked_pts.append((len(f) - 1, m))
         fibers.append((tuple(sorted(marked_part)), tuple(sorted(unmarked_pts))))
     images = tuple(o.index_of(r.apply(p)) for p, _w in o.marked)
     return fibers, images
@@ -425,12 +433,16 @@ class InfinityClass:
 
 def _critical_points_rational(r: RatMap1):
     """[(point, multiplicity in the Wronskian)] for rational critical points,
-    plus the residual (non-rational) critical factors [(form, mult)].
+    plus the residual (non-rational) critical factors [(list, mult)], by
+    `_form_split` of the Wronskian at its degree 2d - 2.
 
-    The rational points are found per squarefree factor of the dehomogenised
-    Wronskian, with infinity from the power of s; see `_form_split`."""
-    return _form_split(r.formS.derivative("s") * r.formT.derivative("t")
-                       - r.formS.derivative("t") * r.formT.derivative("s"))
+    The Wronskian is formS_s formT_t - formS_t formT_s.  By Euler's identity
+    s F_s + t F_t = d F, its chart at s = 1 is d (S T' - S' T), whose zeros
+    are those of S T' - S' T."""
+    S, T = r.S, r.T
+    return _form_split(_dense_sub(dense_mul(S, _dense_derivative(T)),
+                                  dense_mul(_dense_derivative(S), T)),
+                       2 * r.degree - 2)
 
 
 def _critical_values(r: RatMap1, rational, residual):
@@ -443,31 +455,21 @@ def _critical_values(r: RatMap1, rational, residual):
     session field, each value once; they all lie in K iff `rational_roots`
     finds as many roots as its degree.
     """
-    values = []
-
-    def add(p):
-        if all(not points_equal(p, q) for q in values):
-            values.append(p)
-
-    for p, _m in rational:
-        add(r.apply(p))
-    for f, _m in residual:
-        num, den, aff = kernel_lists(r.formT.dense_in("t"),
-                                     r.formS.dense_in("t"), f.dense_in("t"))
-        poles = dense_gcd(aff, den)
+    values = dict.fromkeys(r.apply(p) for p, _m in rational)  # ordered set
+    for aff, _m in residual:
+        poles = dense_gcd(aff, r.S)
         if len(poles) > 1:
-            add(POINT_INF)
+            values[POINT_INF] = None
             aff = dense_divmod(aff, poles)[0]
         if len(aff) > 1:
-            v = dense_divmod(dense_mul(num, dense_inverse_mod(den, aff)),
+            v = dense_divmod(dense_mul(r.T, dense_inverse_mod(r.S, aff)),
                              aff)[1]
             mu = _minimal_polynomial(v, aff)
             roots = dense_rational_roots(mu)
             if len(roots) != len(mu) - 1:
                 return None  # some critical value leaves the session field
-            for y0 in roots:
-                add(affine_point(y0))
-    return values
+            values.update(dict.fromkeys(map(affine_point, roots)))
+    return list(values)
 
 
 def _minimal_polynomial(v, f):
@@ -492,11 +494,8 @@ def _closure_under(r: RatMap1, points, cap: int = 16):
     """Forward orbit closure of a point set, or None past the cap."""
     post = list(points)
     for _ in range(cap):
-        new = []
-        for p in post:
-            q = r.apply(p)
-            if all(not points_equal(q, x) for x in post + new):
-                new.append(q)
+        new = list(dict.fromkeys(q for q in map(r.apply, post)
+                                 if q not in post))
         if not new:
             return post
         post.extend(new)
@@ -514,18 +513,16 @@ def classify_infinity(r: RatMap1) -> InfinityClass:
     if len(totally_ramified) == 2:
         p1, p2 = totally_ramified
         i1, i2 = r.apply(p1), r.apply(p2)
-        pair_ok = ((points_equal(i1, p1) and points_equal(i2, p2))
-                   or (points_equal(i1, p2) and points_equal(i2, p1)))
-        if pair_ok:
+        if (i1, i2) in ((p1, p2), (p2, p1)):
             return InfinityClass("PowerLike")
     values = _critical_values(r, rational, residual)
     if values is None:
         return InfinityClass("Unknown")
     for p in totally_ramified:
-        if points_equal(r.apply(p), p):
+        if r.apply(p) == p:
             post = _closure_under(r, values, cap=8)
             if post is not None:
-                finite = [v for v in post if not points_equal(v, p)]
+                finite = [v for v in post if v != p]
                 if len(finite) <= 2:
                     marked = [(p, inf)] + [(v, 2) for v in finite]
                     try:

@@ -389,7 +389,10 @@ class TestMPoly:
             f = MPoly.zero()
         assume(not (f.is_zero() and g.is_zero()))
         want = binary_form_resultant(f, g, "s", "t", m, n).is_zero()
-        assert forms_share_zero(f, g, "s", "t", m, n) == want
+        fa, ga = kernel_lists(*([p.coefficient_of({"s": k - j, "t": j})
+                                 for j in range(k + 1)]
+                                for p, k in ((f, m), (g, n))))
+        assert forms_share_zero(fa, ga, m, n) == want
         if case != "random" and not f.is_zero() and not g.is_zero():
             assert want
 
@@ -768,11 +771,11 @@ class TestDenseKernel:
         # entries (1032074914605739/281474976710656*s^2 for 11/3*s^2)
         s, t = MPoly.var("s"), MPoly.var("t")
         form = (t - s) * (t + s.scale(2)) * parse_poly("11*s^2 - 12*s*t + 3*t^2")
-        points, residual = _form_split(form)
+        points, residual = _form_split(*kernel_lists(form.dense_in("t")), 4)
         assert points == [(affine_point(-2), 1), (affine_point(1), 1)]
-        assert residual == [(parse_poly("11/3*s^2 - 4*s*t + t^2"), 1)]
+        assert residual == [([Fraction(11, 3), -4, 1], 1)]
         for f, _m in residual:
-            assert all(type(c.res[0]) is Fraction for c in f.terms.values())
+            assert all(type(c) is Fraction for c in f)
 
     def test_chebyshev_map_of_query_108_is_classified(self, capsys):
         # a float residual sends rational_roots into a practically endless
@@ -1141,6 +1144,17 @@ class TestRecursiveRing:
             assert squarefree_decompose(p) == oracle_squarefree_decompose(p)
         for name in ("z1", "z2"):
             assert resultant(a, b, name) == oracle_resultant(a, b, name)
+
+    @given(st.sampled_from([1, 3]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_squarefree_factors_rebuild_p(self, order, data):
+        # the unit, read off as lc(p), times the factors' powers is p
+        p = data.draw(factored(order, 3))
+        unit, factors = squarefree_decompose(p)
+        rebuilt = MPoly.constant(unit)
+        for f, m in factors:
+            rebuilt = rebuilt * f**m
+        assert rebuilt == p
 
     def test_sides_free_of_a_variable_and_zero(self):
         z1, z2 = MPoly.var("z1"), MPoly.var("z2")

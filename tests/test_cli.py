@@ -48,6 +48,15 @@ class TestExitCodes:
         assert code == 2
         assert rep["kind"] == "PreconditionViolated"
 
+    def test_iterate_past_the_cap_exits_at_once(self, capsys):
+        # n is compared with the cap's bit length before d^n is computed
+        start = time.perf_counter()
+        code, rep = run(capsys, "iterate", "--f", "(z1^3, z2^3)",
+                        "--n", "1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert rep["error"] == "degree 3^1000000000 exceeds cap 512"
+
     def test_disjoint_rejects_two_degree_one_maps(self, capsys):
         # degree 1 never reaches the degree cap: an input error, at once
         start = time.perf_counter()

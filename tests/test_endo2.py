@@ -57,6 +57,19 @@ class TestComposition:
         with pytest.raises(DegreeLimitExceeded):
             iterate(DESC2, 12, degree_cap=100)
 
+    def test_iterate_cap_boundary(self):
+        # the bit-length shortcut raises exactly where d^n > cap does
+        for f in (endo("(z1^2, z2)"), endo("(z1^3, z2^3)")):
+            for cap in range(-2, 70):
+                for n in range(10):
+                    if f.degree**n > cap:
+                        with pytest.raises(DegreeLimitExceeded,
+                                           match=rf"\^{n} exceeds cap {cap}$"):
+                            iterate(f, n, degree_cap=cap)
+                    else:
+                        assert iterate(f, n, degree_cap=cap).degree \
+                            == f.degree**n
+
     @given(small, small, small, small)
     @settings(max_examples=25, deadline=None)
     def test_compose_associative(self, a, b, c, d):

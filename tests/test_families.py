@@ -19,8 +19,7 @@ from commend.families import (EllipticCurveData, chebyshev, elliptic_lattes,
 from commend.field import Coefficient
 from commend.mpoly import MPoly, gcd_poly
 from commend.parse import parse_poly
-from commend.rat1 import (RatMap1, classify_infinity, commutes1, compose1,
-                          homogenise)
+from commend.rat1 import RatMap1, classify_infinity, commutes1, compose1
 
 X, Y = MPoly.var("x"), MPoly.var("y")
 
@@ -239,7 +238,7 @@ def oracle_lattes(curve: EllipticCurveData, n: int) -> RatMap1:
     if not g.is_constant():
         num = num.exact_divide(g)
         den = den.exact_divide(g)
-    return RatMap1(homogenise(den, n * n), homogenise(num, n * n))
+    return RatMap1.from_lists(n * n, den.dense_in("x"), num.dense_in("x"))
 
 
 W3 = Coefficient.root_of_unity(3)

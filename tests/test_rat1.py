@@ -11,14 +11,14 @@ from commend import rat1
 from commend.errors import NoCaseMatch, PreconditionViolated
 from commend.families import chebyshev, elliptic_lattes, EllipticCurveData
 from commend.field import Coefficient
-from commend.mpoly import (MPoly, gcd_poly, rational_roots, resultant,
-                           squarefree_decompose, squarefree_part)
+from commend.mpoly import (MPoly, from_dense, gcd_poly, kernel_lists,
+                           rational_roots, resultant, squarefree_decompose,
+                           squarefree_part)
 from commend.parse import parse_map_pair, parse_poly
 from commend.rat1 import (POINT_INF, Orbifold1, RatMap1, affine_point,
                           classify_infinity, commutes1, compose1,
                           is_orbifold_selfcover, parabolic_check,
-                          points_equal, portrait, pullback_divisor,
-                          standard_orbifolds)
+                          portrait, pullback_divisor, standard_orbifolds)
 from test_reports import portrait_maps
 
 
@@ -42,9 +42,8 @@ TORSION_ORB = Orbifold1(((POINT_INF, 2), (affine_point(0), 2),
 class TestRatMap1:
     def test_degree_and_values(self):
         assert SQUARE.degree == 2
-        four = SQUARE.apply(affine_point(2))
-        assert points_equal(four, affine_point(4))
-        assert points_equal(SQUARE.apply(POINT_INF), POINT_INF)
+        assert SQUARE.apply(affine_point(2)) == affine_point(4)
+        assert SQUARE.apply(POINT_INF) == POINT_INF
 
     def test_compose_chebyshev_semigroup(self):
         assert compose1(TCHEB2, TCHEB3) == compose1(TCHEB3, TCHEB2)
@@ -102,6 +101,139 @@ class TestRatMap1:
         assert fiber0.distinct_count() == 1
 
 
+# The form-based paths that the stored lists replaced, kept as oracles
+
+def oracle_points_equal(p, q):
+    """Projective equality by cross-multiplication."""
+    return (p[0] * q[1] - p[1] * q[0]).is_zero()
+
+
+def oracle_apply(r, point):
+    vals = {"s": point[0], "t": point[1]}
+    return rat1.normalize_point(r.formS.evaluate(vals), r.formT.evaluate(vals))
+
+
+def oracle_eq(r1, r2):
+    return (r1.formS * r2.formT - r1.formT * r2.formS).is_zero()
+
+
+def oracle_critical_points(r):
+    """`_form_split` of the Wronskian of the forms, built on MPolys."""
+    w = (r.formS.derivative("s") * r.formT.derivative("t")
+         - r.formS.derivative("t") * r.formT.derivative("s"))
+    return rat1._form_split(*kernel_lists(w.dense_in("t")), 2 * r.degree - 2)
+
+
+W3 = Coefficient.root_of_unity(3)
+
+
+def field_values(order):
+    """Elements of Q (order 1) or Q(zeta_3) (order 3)."""
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    if order == 1:
+        return q.map(Coefficient.rational)
+    return st.builds(lambda a, b: Coefficient.rational(a) + W3 * b, q, q)
+
+
+@st.composite
+def line_map_lists(draw, order, max_degree=4):
+    """(d, S, T) of a nondegenerate map of degree d, each entry an int, a
+    Fraction or a Coefficient."""
+    d = draw(st.integers(1, max_degree))
+    entry = st.one_of(st.integers(-3, 3),
+                      st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=3),
+                      field_values(order))
+    S, T = (draw(st.lists(entry, min_size=d + 1, max_size=d + 1))
+            for _ in range(2))
+    try:
+        RatMap1.from_lists(d, S, T)
+    except ValueError:
+        assume(False)
+    return d, S, T
+
+
+def _form(a, d):
+    return MPoly.make(("s", "t"), {(d - k, k): c for k, c in enumerate(a)})
+
+
+def one_entry_type(*lists):
+    """All entries Fractions or all Coefficients."""
+    return {type(c) for a in lists for c in a} in ({Fraction}, {Coefficient})
+
+
+def stored_like_kernel_lists(r):
+    """A map's lists hold Fractions iff every entry is rational."""
+    rational = all(Coefficient.coerce(c).order == 1 for c in r.S + r.T)
+    return one_entry_type(r.S, r.T) and rational == (type(r.S[-1]) is Fraction)
+
+
+class TestListsAgainstForms:
+    """The stored lists and normalised points against the form-based
+    paths and cross-multiplication, over Q and Q(zeta_3)."""
+
+    @given(st.sampled_from([1, 3]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_list_and_form_constructors_agree(self, order, data):
+        d, S, T = data.draw(line_map_lists(order))
+        r = RatMap1.from_lists(d, S, T)
+        forms = RatMap1(_form(S, d), _form(T, d))
+        assert r == forms and hash(r) == hash(forms) and oracle_eq(r, forms)
+        assert (r.formS, r.formT) == (_form(S, d), _form(T, d))
+        assert r.degree == d and stored_like_kernel_lists(r)
+        # a multiple by a scalar, inside or outside Q, is the same map
+        c = data.draw(st.sampled_from([Fraction(-2, 3), W3, W3 + 1]))
+        scaled = RatMap1.from_lists(d, [x * c for x in S], [x * c for x in T])
+        assert scaled == r and hash(scaled) == hash(r)
+        assert oracle_eq(scaled, r) and stored_like_kernel_lists(scaled)
+
+    @given(st.sampled_from([1, 3]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_apply_critical_points_and_compose_match_the_oracles(self, order,
+                                                                 data):
+        r1 = RatMap1.from_lists(*data.draw(line_map_lists(order)))
+        r2 = RatMap1.from_lists(*data.draw(line_map_lists(order, 2)))
+        points = [POINT_INF, affine_point(0), affine_point(-1), (1, W3),
+                  affine_point(data.draw(field_values(order)))]
+        for p in points:
+            assert r1.apply(p) == oracle_apply(r1, p)
+            for f, _m in pullback_divisor(r1, p).residual:
+                assert one_entry_type(f)
+        got = rat1._critical_points_rational(r1)
+        assert got == oracle_critical_points(r1)
+        assert all(one_entry_type(f) for f, _m in got[1])
+        c = compose1(r1, r2)
+        bind = {"s": r2.formS, "t": r2.formT}
+        assert oracle_eq(c, RatMap1(r1.formS.substitute(bind),
+                                    r1.formT.substitute(bind)))
+        for p in points:
+            assert c.apply(p) == r1.apply(r2.apply(p))
+
+    @given(st.sampled_from([1, 3]), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_normalised_points_compare_like_cross_multiplication(
+            self, order, proportional, data):
+        values = field_values(order)
+        p = (data.draw(values), data.draw(values))
+        assume(p[0] or p[1])
+        if proportional:
+            k = data.draw(values.filter(bool))
+            q = (p[0] * k, p[1] * k)
+        else:
+            q = (data.draw(values), data.draw(values))
+            assume(q[0] or q[1])
+        a, b = rat1.normalize_point(*p), rat1.normalize_point(*q)
+        assert (a == b) == oracle_points_equal(p, q)
+        assert a != b or hash(a) == hash(b)
+
+    def test_orbifold_points_are_normalised(self):
+        o = Orbifold1((((2, 4), 2), ((0, 3), math.inf)))
+        assert o.marked == ((affine_point(2), 2), (POINT_INF, math.inf))
+        assert o.weight_of(affine_point(2)) == 2 and o.index_of(POINT_INF) == 1
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            Orbifold1((((1, 2), 2), ((3, 6), 3)))
+
+
 S, T = MPoly.var("s"), MPoly.var("t")
 # homogenised irreducible quadratics and cubics over Q
 IRREDUCIBLE = (T**2 + S**2, T**2 - S**2 * 2, T**2 + S * T + S**2 * 3,
@@ -148,7 +280,7 @@ class TestFormSplit:
         fiber = pullback_divisor(RatMap1(form, other), POINT_INF)
         points, residual = expected_fiber(form)
         assert list(fiber.marked_points) == points
-        assert sorted((f.total_degree(), m) for f, m in fiber.residual) == residual
+        assert sorted((len(f) - 1, m) for f, m in fiber.residual) == residual
 
     def test_rational_zero_beside_a_cyclotomic_factor(self):
         # (x - 1)^2 (x - w) over Q(zeta_3): form(1, x) has a coefficient
@@ -157,7 +289,7 @@ class TestFormSplit:
         form = (T - S)**2 * (T - S.scale(w))
         fiber = pullback_divisor(RatMap1(form, S**3), POINT_INF)
         assert fiber.marked_points == ((affine_point(1), 2),)
-        assert [(f.total_degree(), m) for f, m in fiber.residual] == [(1, 1)]
+        assert [(len(f) - 1, m) for f, m in fiber.residual] == [(1, 1)]
 
     def test_portrait_splits_each_fiber_once(self, monkeypatch):
         calls = []
@@ -261,14 +393,14 @@ def _critical_values_by_elimination(r, rational, residual):
     values = []
 
     def add(p):
-        if all(not points_equal(p, q) for q in values):
+        if all(not oracle_points_equal(p, q) for q in values):
             values.append(p)
 
     for p, _m in rational:
         add(r.apply(p))
     num, den = dehomogenise(r.formT), dehomogenise(r.formS)
     for f, _m in residual:
-        aff = dehomogenise(f)
+        aff = from_dense(f, "x")
         if resultant(aff, den, "x").is_zero():
             add(POINT_INF)  # a root of f is a pole
         elim = resultant(aff, num - MPoly.var("y") * den, "x")
@@ -326,7 +458,7 @@ class TestCriticalValues:
         if case != "random":
             assert got is not None
         if case == "pole":
-            assert any(points_equal(p, POINT_INF) for p in got)
+            assert POINT_INF in got
 
     def test_values_outside_q(self):
         # the critical points of x^3 - 2x are irrational and so are their

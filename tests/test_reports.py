@@ -5,8 +5,8 @@ maps induced on quotients, a conjugated Ex3 pair with scalars other than 1,
 larger search grids, the Lattes maps of the division-polynomial builder,
 two non-square ramified invariances, a critical orbit whose critical part
 splits into two lines, a Lattes self-cover whose marked points leave Q, a
-ramified invariance over Q(i) and option values that begin with '-', run
-in-process through `cli.main`.
+ramified invariance over Q(i), option values that begin with '-' and an
+iterate count far past the degree cap, run in-process through `cli.main`.
 
 `tests/data/reports.txt` holds, for each command, a `$ commend ...` line and
 the exact stdout bytes of the report.  Regenerate it (only when a report is
@@ -303,6 +303,10 @@ SESSION_AND_ARGV_COMMANDS = [
 ]
 
 
+# an iterate count far past the degree cap, which ends at once with exit 3
+ITERATE_COMMANDS = [["iterate", "--f", "(z1^3, z2^3)", "--n", "1000000000"]]
+
+
 def golden_commands():
     classify = [["classify", "--f", f"({f1.comp1}, {f1.comp2})",
                  "--g", f"({f2.comp1}, {f2.comp2})"]
@@ -313,7 +317,7 @@ def golden_commands():
     return (README_COMMANDS + classify + [ex3_scaled_command()] + P1_COMMANDS
             + critical_layer_commands() + IMAGE_CURVE_COMMANDS + portraits
             + SEARCH_COMMANDS + LATTES_COMMANDS + SQRT_AND_SPLIT_COMMANDS
-            + SESSION_AND_ARGV_COMMANDS)
+            + SESSION_AND_ARGV_COMMANDS + ITERATE_COMMANDS)
 
 
 def render_reports() -> str:

@@ -8,8 +8,9 @@ Run from anywhere, with no arguments:
 For each stream it runs the queries in order through `commend.cli.main`
 in-process and prints one line: the stream, the number of queries and the
 sha256 of their (argv, exit code, stdout) triples.  Run it on two checkouts
-and compare the lines.  The streams come from `perfbench/workloads.py`,
-which this script only imports:
+and compare the lines, or compare them with `tests/data/stream_digests.txt`,
+which holds them for the committed streams.  The streams come from
+`perfbench/workloads.py`, which this script only imports:
 
 - `plane`, seed 1, the first 3,000 queries;
 - `plane-cyclo`, seed 1, the first 300 queries;
