@@ -9,8 +9,11 @@ in u alone, with the consistency conditions of the rows beyond the rank,
 as integer polynomials that must vanish.  Each parameter of f first keeps
 the grid values its own conditions and partner coordinates allow; each f
 of their product then costs a few evaluations on its own numbers and one
-lookup of its partner in the grid, and only those pairs meet the exact
-commutes check.  At equal degrees the partner is f itself: no pair.
+lookup of its partner in the grid.  The other conditions of f o g == g o f,
+solved once with the rest, are evaluated at each such pair's numbers, which
+decides commutation exactly; only commuting pairs are built as maps, and
+`recognize` composes each pair it names once more.  At equal degrees the
+partner is f itself: no pair.
 
 `recognize` derives a conjugation sigma(z) = L z + t and a normal form of
 one family, and answers only when affine_conjugate(f_i, sigma) equals the
@@ -121,11 +124,14 @@ class AffineConj:
         return AffineConj(inv, (-(ia * t1 + ib * t2), -(ic * t1 + id_ * t2)))
 
 
+IDENTITY = AffineConj.identity()
 SWAP = AffineConj.antidiagonal(1, 1)
 
 
 def affine_conjugate(f: PlaneEndo, s: AffineConj) -> PlaneEndo:
-    """The conjugate map s^{-1} o f o s."""
+    """The conjugate map s^{-1} o f o s; f itself when s is the identity."""
+    if s == IDENTITY:
+        return f
     s1, s2 = s.as_polys()
     moved1 = f.comp1.substitute({"z1": s1, "z2": s2})
     moved2 = f.comp2.substitute({"z1": s1, "z2": s2})
@@ -231,7 +237,7 @@ class Verdict:
 
 def _match_ex1(f1, f2, order, centred):
     centre, c1, c2 = centred
-    for base in (AffineConj.identity(), SWAP):
+    for base in (IDENTITY, SWAP):
         h1 = affine_conjugate(c1, base)
         h2 = affine_conjugate(c2, base)
         for g1, g2, flipped in ((h1, h2, False), (h2, h1, True)):
@@ -342,8 +348,8 @@ def _match_ex4(f1, f2, order, _centred):
     # of the earlier root-of-unity search, whose verdicts keep their bytes.
     rank = {u: i for i, u in enumerate(roots_of_unity(order))}
     tries = []
-    for swapped, base in enumerate((AffineConj.identity(), SWAP)):
-        g = affine_conjugate(f1, base) if swapped else f1
+    for swapped, base in enumerate((IDENTITY, SWAP)):
+        g = affine_conjugate(f1, base)
         d = g.degree
         a = _monomial_coefficient(g.top_forms()[0], "z1", d)
         c = g.comp1.coefficient_of({"z1": d - 2, "z2": 1})
@@ -494,15 +500,15 @@ def _separable_system(d1: int, d2: int):
     """The separable part of f o g == g o f for grid maps f of degree d1
     (parameters u0, u1, ...) and g of degree d2 (v0, v1, ...).
 
-    Returns (f_only, lhs, rhs): every polynomial of f_only, in the u alone,
-    vanishes, and lhs . v == -rhs(u), with lhs a constant rational matrix.
-    A condition with a term of degree two or more in the v, or mixing u and
-    v, is left to the exact commutes check.
+    Returns (f_only, lhs, rhs, rest): every polynomial of f_only, in the u
+    alone, vanishes, and lhs . v == -rhs(u), with lhs a constant rational
+    matrix.  rest holds the other conditions, each with a term of degree two
+    or more in the v or mixing u and v, as polynomials in the u and v.
     """
     vs = [f"v{k}" for k in range(_GRID_PARAMS[d2])]
     f = _grid_endo(d1, [MPoly.var(f"u{k}") for k in range(_GRID_PARAMS[d1])])
     g = _grid_endo(d2, [MPoly.var(v) for v in vs])
-    f_only, lhs, rhs = [], [], []
+    f_only, lhs, rhs, rest = [], [], [], []
     for fc, gc in zip(f, g):
         diff = fc.substitute({"z1": g[0], "z2": g[1]}) \
             - gc.substitute({"z1": f[0], "z2": f[1]})
@@ -511,15 +517,15 @@ def _separable_system(d1: int, d2: int):
                 free = cond.substitute(dict.fromkeys(vs, 0))
                 linear = cond - free
                 if any(sum(e) != 1 for e in linear.terms):
-                    continue
-                if linear.terms:
+                    rest.append(cond)
+                elif linear.terms:
                     lhs.append(tuple(
                         linear.coefficient_of({v: 1}).rational_value
                         for v in vs))
                     rhs.append(free)
                 elif free.terms:
                     f_only.append(free)
-    return f_only, lhs, rhs
+    return f_only, lhs, rhs, rest
 
 
 class _PartnerSystem(NamedTuple):
@@ -528,6 +534,8 @@ class _PartnerSystem(NamedTuple):
     den: int
     is_f: bool         # partner(u) / den == u: g is f itself
     own: tuple         # per parameter k: (conditions, partner) in u_k alone
+    rest: tuple        # integer terms in u + v: at a partner, all vanish
+                       # iff f o g == g o f
 
 
 @functools.cache
@@ -540,9 +548,19 @@ def _partner_system(d1: int, d2: int) -> _PartnerSystem:
     full column rank, so each f has at most one partner; the conditions
     are f_only and the consistency conditions check . rhs(u) == 0 of the
     rows beyond the rank.
+
+    Such a pair (u, v) commutes exactly when every polynomial of rest
+    vanishes at u + v.  Each coefficient of f_u o g_v - g_v o f_u in z1, z2
+    is a polynomial in (u, v), and putting numbers in for (u, v) is a ring
+    homomorphism that commutes with substitution, so that coefficient at
+    the numbers is the symbolic condition evaluated there.  The separable
+    conditions vanish at every partner by construction (f_only and the
+    consistency conditions are checked, and v solves lhs . v == -rhs(u)),
+    which leaves the conditions of rest.
     """
     us = [f"u{k}" for k in range(_GRID_PARAMS[d1])]
-    f_only, lhs, rhs = _separable_system(d1, d2)
+    names = us + [f"v{k}" for k in range(_GRID_PARAMS[d2])]
+    f_only, lhs, rhs, rest = _separable_system(d1, d2)
     solved = _left_inverse(lhs) if lhs else None
     if solved is None:
         raise AssertionError(f"grid partner system for degrees {(d1, d2)} "
@@ -567,7 +585,8 @@ def _partner_system(d1: int, d2: int) -> _PartnerSystem:
         conditions, partner, den,
         d1 == d2 and solution == [MPoly.var(u) for u in us],
         tuple((alone(k, conditions), alone(k, partner))
-              for k in range(len(us))))
+              for k in range(len(us))),
+        tuple(_integer_terms(q, names, _denominator([q])) for q in rest))
 
 
 def _candidate_pairs(d1: int, d2: int, coeffs):
@@ -622,12 +641,13 @@ def search(degree_pair, coefficient_set, report_sink=None,
     summary.total_pairs = total
     candidates = _candidate_pairs(d1, d2, coeffs)
     summary.probe_pass = len(candidates)
+    rest = _partner_system(d1, d2).rest
 
     for m1, m2 in candidates:
-        f1, f2 = PlaneEndo(*_grid_endo(d1, m1)), PlaneEndo(*_grid_endo(d2, m2))
-        if not commutes(f1, f2):
-            continue
+        if any(_evaluate(p, m1 + m2) for p in rest):
+            continue  # f o g != g o f, see `_partner_system`
         summary.commuting += 1
+        f1, f2 = PlaneEndo(*_grid_endo(d1, m1)), PlaneEndo(*_grid_endo(d2, m2))
         if not (extends_to_p2(f1) and extends_to_p2(f2)):
             continue
         summary.extending += 1

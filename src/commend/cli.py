@@ -70,8 +70,12 @@ def _line_map(session: Session, text: str) -> rat1.RatMap1:
     if text.startswith("(") and text.endswith(")"):
         p, q = parse_map_pair(text, session.cyclotomic_order)
         return rat1.RatMap1(p, q)
-    # a bare polynomial in x denotes the polynomial self-map
+    # a bare polynomial in one variable, of any name, denotes the polynomial
+    # self-map
     p = parse_poly(text, session.cyclotomic_order)
+    if len(p.vars) > 1:
+        raise ParseError("a bare polynomial map takes one variable, not "
+                         f"{', '.join(p.vars)}", 0)
     return rat1.RatMap1.from_polynomial(p.substitute(
         {v: MPoly.var("x") for v in p.vars}))
 

@@ -119,10 +119,11 @@ class RatMap1:
     @staticmethod
     def from_polynomial(p: MPoly) -> "RatMap1":
         """The self-map [s^d : s^d p(t/s)] of a polynomial p in x, d = deg p."""
-        d = p.total_degree()
-        if set(p.vars) - {"x"} or d < 0:
-            raise ValueError(f"need a nonzero polynomial in x of degree at most {d}")
-        return RatMap1.from_lists(d, [1], p.dense_in("x"))
+        if p.is_zero():
+            raise ValueError("need a nonzero polynomial, not 0")
+        if set(p.vars) - {"x"}:
+            raise ValueError(f"need a polynomial in x, not in {', '.join(p.vars)}")
+        return RatMap1.from_lists(p.total_degree(), [1], p.dense_in("x"))
 
     def apply(self, point):
         """The image of `point`, normalised: S and T evaluated at x by

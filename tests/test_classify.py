@@ -125,7 +125,9 @@ oracle_pairs = st.one_of(
 
 class TestAffineConj:
     def test_identity_acts_trivially(self):
-        assert affine_conjugate(DESC2, AffineConj.identity()) == DESC2
+        assert affine_conjugate(DESC2, AffineConj.identity()) is DESC2
+        # the zero shift of a centring solve is the identity too
+        assert affine_conjugate(DESC2, AffineConj.shift(0, 0)) is DESC2
 
     def test_group_law(self):
         s = AffineConj.diagonal(2, -1, (1, 0))
@@ -200,6 +202,15 @@ class TestRecognize:
     def test_rejects_noncommuting_pair(self):
         with pytest.raises(PreconditionViolated):
             recognize(DESC2, endo("(z1^3, z2^3)"))
+
+    def test_rejects_nonextending_pair(self):
+        # the pair commutes, but the top forms z1^2 and 0 share [0:1]
+        with pytest.raises(PreconditionViolated, match="extend"):
+            recognize(endo("(z1^2, z2)"), endo("(z1^3, z2)"))
+
+    def test_rejects_degree_one_map(self):
+        with pytest.raises(PreconditionViolated, match="at least 2"):
+            recognize(endo("(z1, z2)"), DESC2)
 
     def test_conjugated_inputs(self):
         for s in (AffineConj.diagonal(-1, 1), AffineConj.antidiagonal(1, 1),
@@ -342,7 +353,7 @@ def grid_tuples(d, coeffs):
 def per_map_candidate_pairs(d1, d2, maps1, maps2):
     """The candidate pairs by evaluating the separable system at each f and
     solving it for g's parameters."""
-    f_only, lhs, rhs = classify._separable_system(d1, d2)
+    f_only, lhs, rhs, _rest = classify._separable_system(d1, d2)
     index2 = {m: j for j, m in enumerate(maps2)}
     pairs = []
     for i, m1 in enumerate(maps1):
@@ -355,6 +366,13 @@ def per_map_candidate_pairs(d1, d2, maps1, maps2):
         if j is not None and (d1 != d2 or j > i):
             pairs.append((m1, maps2[j]))
     return pairs
+
+
+# a degree pair, a set of integers and at most one fraction for a grid
+GRID_DRAWS = (st.sampled_from([(2, 3), (3, 2), (2, 2), (3, 3)]),
+              st.sets(st.integers(-12, 12), min_size=1, max_size=5),
+              st.sets(st.builds(Fraction, st.integers(-12, 12),
+                                st.sampled_from([2, 3])), max_size=1))
 
 
 class TestSearch:
@@ -388,10 +406,7 @@ class TestSearch:
         # probe_pass counts the solved pairs: c == 0 and a, b, e in {0, 2}
         assert search((2, 3), [0, 2, 3]).probe_pass == 8
 
-    @given(st.sampled_from([(2, 3), (3, 2), (2, 2), (3, 3)]),
-           st.sets(st.integers(-12, 12), min_size=1, max_size=5),
-           st.sets(st.builds(Fraction, st.integers(-12, 12),
-                             st.sampled_from([2, 3])), max_size=1))
+    @given(*GRID_DRAWS)
     @settings(max_examples=40, deadline=None)
     @example((2, 3), {0, 2, 3}, set())
     @example((2, 3), {0, 1}, {Fraction(3, 2)})
@@ -420,7 +435,7 @@ class TestSearch:
         monkeypatch.setattr(classify, "_grid_endo", coupled)
         classify._partner_system.cache_clear()
         try:
-            f_only, lhs, _rhs = classify._separable_system(2, 3)
+            f_only, lhs, _rhs, _rest = classify._separable_system(2, 3)
             assert len(lhs) > len(lhs[0])
             conditions = classify._partner_system(2, 3).conditions
             assert len(conditions) > len(f_only)
@@ -449,10 +464,27 @@ class TestSearch:
         finally:
             classify._partner_system.cache_clear()
 
+    @given(*GRID_DRAWS)
+    @settings(max_examples=40, deadline=None)
+    @example((3, 2), set(range(-3, 4)), set())
+    @example((2, 3), {0, 1}, {Fraction(3, 2)})
+    def test_rest_decides_commutation(self, degrees, ints, fractions):
+        # the remaining conditions at a candidate's numbers give the verdict
+        # of composing its two maps
+        coeffs = sorted(ints | fractions)
+        d1, d2 = degrees
+        rest = classify._partner_system(d1, d2).rest
+        for m1, m2 in classify._candidate_pairs(d1, d2, coeffs):
+            f1 = PlaneEndo(*classify._grid_endo(d1, m1))
+            f2 = PlaneEndo(*classify._grid_endo(d2, m2))
+            vanish = not any(classify._evaluate(p, m1 + m2) for p in rest)
+            assert vanish == commutes(f1, f2), (m1, m2)
+
     def test_exact_checks_run_on_every_candidate(self, monkeypatch):
-        # search screens nothing past the separable conditions: every
-        # candidate meets commutes, and every disjoint pair meets recognize
-        # with its own precondition checks
+        # every candidate meets the remaining conditions, evaluated at its
+        # numbers, in place of composition: search itself never composes,
+        # and every disjoint pair meets recognize, whose own precondition
+        # checks compose it once
         calls = collections.Counter()
         inside = []
         real_commutes, real_recognize = classify.commutes, classify.recognize
@@ -473,9 +505,9 @@ class TestSearch:
         monkeypatch.setattr(classify, "recognize", counting_recognize)
         summary = search((3, 2), range(-3, 4))
         assert summary.probe_pass > summary.commuting > 0
-        assert calls == {"search commutes": summary.probe_pass,
-                         "recognize": summary.disjoint,
+        assert calls == {"recognize": summary.disjoint,
                          "recognize commutes": summary.disjoint}
+        assert "search commutes" not in calls
 
     def test_tiny_grid_vacuous(self):
         summary = search((2, 2), [-1, 0, 1])

@@ -71,6 +71,11 @@ class TestExitCodes:
         assert code == 2
         assert rep["kind"] == "ValueError"
 
+    def test_bare_map_in_one_variable_of_any_name(self):
+        # two variables are a ParseError (golden report)
+        session = Session(1)
+        assert _line_map(session, "y^2 - 2") == _line_map(session, "x^2 - 2")
+
 
 class TestCommands:
     def test_classify_descent_pair(self, capsys):
