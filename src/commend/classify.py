@@ -44,17 +44,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .endo2 import (DEFAULT_DEGREE_CAP, PlaneEndo, commutes, compose,
-                    extends_to_p2, iterate)
+from .endo2 import (DEFAULT_DEGREE_CAP, PlaneEndo, _top_lists, commutes,
+                    compose, extends_to_p2, iterate)
 from .errors import BudgetExceeded, NotCommuting, PreconditionViolated
 from .families import (FamilyTag, chebyshev, chebyshev_conjugacies, ex1,
                        ex2, ex4_descend)
 from .field import (Coefficient, _left_inverse, _solve_linear, kth_roots,
                     roots_of_unity)
-from .mpoly import MPoly, session_order
+from .mpoly import MPoly, from_dense, session_order
 
 Z1, Z2 = MPoly.var("z1"), MPoly.var("z2")
-X, Y = MPoly.var("x"), MPoly.var("y")
+Y = MPoly.var("y")
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +204,17 @@ def _translation(f: PlaneEndo, target: PlaneEndo | None = None):
     """The shift s(z) = z + u after which s^-1 o f o s has the degree-(d-1)
     part of target (zero when target is None), or None.  That part moves by
     DK_d . u, K_d the top forms of f; when f extends to P^2 they have no
-    common zero, so the columns of DK_d are independent and u is unique."""
-    d = f.degree
+    common zero, so the columns of DK_d are independent and u is unique.
+    Row a holds the z1^a z2^(d-1-a) coefficients of the partials of K_d,
+    read off its list (`_top_lists`)."""
+    d, S, T = _top_lists(f)
     wants = (MPoly.zero(),) * 2 if target is None else \
         (target.comp1, target.comp2)
     rows, rhs = [], []
-    for comp, top, want in zip((f.comp1, f.comp2), f.top_forms(), wants):
-        dz1, dz2 = top.derivative("z1"), top.derivative("z2")
+    for comp, top, want in zip((f.comp1, f.comp2), (S, T), wants):
         for a in range(d):
             mono = {"z1": a, "z2": d - 1 - a}
-            rows.append((dz1.coefficient_of(mono), dz2.coefficient_of(mono)))
+            rows.append(((a + 1) * top[d - 1 - a], (d - a) * top[d - a]))
             rhs.append(want.coefficient_of(mono) - comp.coefficient_of(mono))
     u = _solve_linear(rows, rhs)
     return None if u is None else AffineConj.shift(*u)
@@ -327,14 +328,19 @@ def _homogeneous(h: PlaneEndo) -> bool:
                for comp in (h.comp1, h.comp2) for e in comp.terms)
 
 
+def _z1_power(S: list):
+    """a when the top list S is that of a*z1^d with a != 0, else None."""
+    return None if not S[0] or any(S[1:]) else Coefficient.coerce(S[0])
+
+
 def _descent_poly(g: PlaneEndo):
     """h read off the top forms of g, which for ex4_descend(h) are
     (a*z1^d, a*z1^d*h(z2/z1)) with a the leading coefficient of h; or None."""
-    t1, t2 = g.top_forms()
-    a = _monomial_coefficient(t1, "z1", g.degree)
+    _d, S, T = _top_lists(g)
+    a = _z1_power(S)
     if a is None:
         return None
-    h = t2.substitute({"z1": MPoly.one(), "z2": X}).scale(a.inverse())
+    h = from_dense(T, "x").scale(a.inverse())
     return None if h.is_constant() else h
 
 
@@ -350,8 +356,8 @@ def _match_ex4(f1, f2, order, _centred):
     tries = []
     for swapped, base in enumerate((IDENTITY, SWAP)):
         g = affine_conjugate(f1, base)
-        d = g.degree
-        a = _monomial_coefficient(g.top_forms()[0], "z1", d)
+        d, S, _T = _top_lists(g)
+        a = _z1_power(S)
         c = g.comp1.coefficient_of({"z1": d - 2, "z2": 1})
         if a is None or c.is_zero():
             continue

@@ -58,24 +58,6 @@ class PlaneEndo:
     def __repr__(self):
         return f"PlaneEndo(({self.comp1}, {self.comp2}))"
 
-    def apply(self, point):
-        """Image of an exact point (pair of Coefficient-like values)."""
-        vals = {"z1": Coefficient.coerce(point[0]),
-                "z2": Coefficient.coerce(point[1])}
-        return (self.comp1.evaluate(vals), self.comp2.evaluate(vals))
-
-    def top_forms(self):
-        """Degree-d homogeneous parts of both components (d = self.degree)."""
-        d = self.degree
-        out = []
-        for comp in (self.comp1, self.comp2):
-            terms = {}
-            for e, c in comp.terms.items():
-                if sum(e) == d:
-                    terms[e] = c
-            out.append(MPoly.make(comp.vars, terms))
-        return tuple(out)
-
     def jacobian_det(self) -> MPoly:
         return (self.comp1.derivative("z1") * self.comp2.derivative("z2")
                 - self.comp1.derivative("z2") * self.comp2.derivative("z1"))

@@ -30,7 +30,7 @@ class NotExtendable(CommendError):
 
 
 class NotIsolated(CommendError):
-    """The origin is not an isolated common zero for any candidate shear."""
+    """The origin is not an isolated common zero of the two curves."""
 
 
 class ShapeMismatch(CommendError):

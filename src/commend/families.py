@@ -3,7 +3,8 @@
 Covers coordinate-split Chebyshev/power pairs, scalar lifts of commuting
 line maps, the symmetric two-sheeted descent, and elliptic multiplication
 maps, built from the x-only division polynomials on the dense list kernel
-with no gcd (see `elliptic_lattes`).
+with no gcd (see `elliptic_lattes`).  The scalar lifts read the line maps'
+lists; only `compose1` reads their s, t views.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from .errors import (NotCommuting, NotSplit, NotSymmetric, PreconditionViolated,
                      ScalarNotSolvable)
 from .field import Coefficient, _dense_sub, dense_mul, kth_roots
 from .mpoly import MPoly, kernel_lists, rational_roots
-from .rat1 import POINT_INF, Orbifold1, RatMap1, affine_point
+from .rat1 import (POINT_INF, Orbifold1, RatMap1, _form_from_dense,
+                   affine_point, compose1)
 
 X, Y = MPoly.var("x"), MPoly.var("y")
 Z1, Z2 = MPoly.var("z1"), MPoly.var("z2")
@@ -102,29 +104,26 @@ def ex2(d: int, variant: str = "straight", signs=(1, 1)) -> PlaneEndo:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _plane_forms(r: RatMap1):
-    bind = {"s": Z1, "t": Z2}
-    return r.formS.substitute(bind), r.formT.substitute(bind)
+def _lift(r: RatMap1, lam) -> PlaneEndo:
+    """The plane map lam * (S, T) of r's forms in z1, z2."""
+    return PlaneEndo(*(_form_from_dense(a, r.degree, ("z1", "z2")).scale(lam)
+                       for a in (r.S, r.T)))
 
 
 def ex3_lift(r1: RatMap1, r2: RatMap1, lam1=None, lam2=None):
-    """Scalar lifts of a commuting pair of homogeneous line maps."""
-    from .rat1 import commutes1
-    if not commutes1(r1, r2):
+    """Scalar lifts of a commuting pair of homogeneous line maps.
+
+    The composites a = r1 o r2 and b = r2 o r1 are equal maps, so
+    S_a T_b = T_a S_b.  The forms of each share no zero, so S_b divides S_a
+    and S_a divides S_b, and likewise for T: a's lists are c times b's, and
+    c is read off the first nonzero entry of b's lists, S then T.
+    """
+    a, b = compose1(r1, r2), compose1(r2, r1)
+    if a != b:
         raise NotCommuting("line maps do not commute")
     d1, d2 = r1.degree, r2.degree
-    bind21 = {"s": r2.formS, "t": r2.formT}
-    bind12 = {"s": r1.formS, "t": r1.formT}
-    a_s = r1.formS.substitute(bind21)
-    a_t = r1.formT.substitute(bind21)
-    b_s = r2.formS.substitute(bind12)
-    b_t = r2.formT.substitute(bind12)
-    base = b_s if not b_s.is_zero() else b_t
-    top = a_s if not b_s.is_zero() else a_t
-    c = top.leading_coefficient() / base.leading_coefficient()
-    if a_s != b_s.scale(c) or a_t != b_t.scale(c):
-        raise NotCommuting("compositions are not proportional")
-    order = max(c.order, 1)
+    top, base = next((x, y) for x, y in zip(a.S + a.T, b.S + b.T) if y)
+    c = Coefficient.coerce(top) / Coefficient.coerce(base)
     if lam1 is not None or lam2 is not None:
         lam1 = Coefficient.coerce(1 if lam1 is None else lam1)
         lam2 = Coefficient.coerce(1 if lam2 is None else lam2)
@@ -137,14 +136,11 @@ def ex3_lift(r1: RatMap1, r2: RatMap1, lam1=None, lam2=None):
                 raise ScalarNotSolvable("no scalar works for a degree-1 second map")
             lam1 = Coefficient.one()
         else:
-            roots = kth_roots(c, d2 - 1, order)
+            roots = kth_roots(c, d2 - 1, c.order)
             if not roots:
                 raise ScalarNotSolvable("constraint has no root in the session field")
             lam1 = sorted(roots, key=Coefficient.sort_key)[0]
-    p1, q1 = _plane_forms(r1)
-    p2, q2 = _plane_forms(r2)
-    f1 = PlaneEndo(p1.scale(lam1), q1.scale(lam1))
-    f2 = PlaneEndo(p2.scale(lam2), q2.scale(lam2))
+    f1, f2 = _lift(r1, lam1), _lift(r2, lam2)
     if not commutes(f1, f2):
         raise NotCommuting("lifted maps do not commute")
     return f1, f2

@@ -544,28 +544,9 @@ class Coefficient:
         return f"Coefficient({self.order}, {list(self.res)})"
 
     def __str__(self):
-        if self.order == 1:
-            return str(self.res[0])
-        parts = []
-        for j, c in enumerate(self.res):
-            if c == 0:
-                continue
-            if j == 0:
-                parts.append(str(c))
-            else:
-                mon = "w" if j == 1 else f"w^{j}"
-                if c == 1:
-                    parts.append(mon)
-                elif c == -1:
-                    parts.append(f"-{mon}")
-                else:
-                    parts.append(f"{c}*{mon}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        from .mpoly import MPoly
+        from .render import render_poly
+        return render_poly(MPoly.constant(self), self.order)
 
 
 _ZERO = Coefficient._rational(Fraction(0))

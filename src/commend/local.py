@@ -1,8 +1,9 @@
 """Local multiplicity computations at a point and Newton-exponent analysis.
 
 All inputs are polynomials translated so the studied point is the origin.
-Intersection numbers are computed by resultant elimination after a shear
-drawn from a fixed deterministic candidate list.
+Intersection numbers are computed by resultant elimination after the first
+shear of 0, 1, -1, 2, -2, ... under which it is exact at the origin; a
+Bezout bound on the shears that fail ends the sequence.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .mpoly import (MPoly, gcd_poly, resultant, session_order,
                     squarefree_decompose)
 
 Z1, Z2 = MPoly.var("z1"), MPoly.var("z2")
-
-SHEAR_CANDIDATES = (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8)
 
 
 def _to_plane(g: MPoly) -> MPoly:
@@ -53,7 +52,13 @@ def intersection_mult(g1: MPoly, g2: MPoly) -> int:
             raise NotIsolated("curves share a component through the origin")
         # a unit in the local ring at the origin
         g1, g2 = g1.exact_divide(common), g2.exact_divide(common)
-    for tau in SHEAR_CANDIDATES:
+    # A shear fails only when a top form vanishes at (tau, 1), for at most
+    # n1 + n2 values of tau, or when another common zero lies on the line
+    # z1 = tau*z2, for at most n1*n2 values (Bezout); so one of the first
+    # n1*n2 + n1 + n2 + 1 shears succeeds.
+    n1, n2 = g1.total_degree(), g2.total_degree()
+    for k in range(n1 * n2 + n1 + n2 + 1):
+        tau = (k + 1) // 2 * (-1) ** (k + 1)
         shear = {"z1": Z1 + Z2.scale(tau)}
         s1, s2 = g1.substitute(shear), g2.substitute(shear)
         # no second common zero on the line z1 = 0
@@ -83,7 +88,7 @@ def intersection_mult(g1: MPoly, g2: MPoly) -> int:
         if res.is_constant():
             continue
         return _order_at_zero(res)
-    raise NotIsolated("every shear candidate failed")
+    raise AssertionError("every shear failed, past the Bezout bound")
 
 
 @dataclass(frozen=True)

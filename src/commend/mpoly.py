@@ -197,14 +197,7 @@ class MPoly:
     def __pow__(self, exp: int):
         if exp < 0:
             raise ValueError("negative exponent")
-        result = MPoly.one()
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base if exp > 1 else base
-            exp >>= 1
-        return result
+        return _power({1: self}, exp) if exp else MPoly.one()
 
     def scale(self, coef) -> "MPoly":
         coef = Coefficient.coerce(coef)

@@ -48,9 +48,9 @@ def affine_point(x):
 POINT_INF = (Coefficient.zero(), Coefficient.one())
 
 
-def _form_from_dense(a: list, d: int) -> MPoly:
-    """The degree-d binary form sum a[k] s^(d-k) t^k."""
-    return MPoly.make(("s", "t"), {(d - k, k): c for k, c in enumerate(a)})
+def _form_from_dense(a: list, d: int, names=("s", "t")) -> MPoly:
+    """The degree-d binary form sum a[k] u^(d-k) v^k in (u, v) = names."""
+    return MPoly.make(names, {(d - k, k): c for k, c in enumerate(a)})
 
 
 def _uniform(*lists):
@@ -69,7 +69,9 @@ class RatMap1:
 
     The forms share no zero in P^1 (`forms_share_zero` on S and T), so d is
     the degree of the map and at least one list has degree d.  `formS` and
-    `formT` are views built from the lists.
+    `formT` are views built from the lists, read only by `compose1`, which
+    substitutes them, and by printing; parsed forms enter through
+    `__init__`, which reads the lists off them.
     """
 
     __slots__ = ("degree", "S", "T")
@@ -535,20 +537,14 @@ def classify_infinity(r: RatMap1) -> InfinityClass:
     post = _closure_under(r, values, cap=4)
     if post is None:
         return InfinityClass("Unknown")
+    # the points of post are distinct and normalised, and every weight is
+    # finite, so neither orbifold nor cover check can raise here
     if len(post) == 4:
-        try:
-            o = standard_orbifolds("2222", post)
-            if is_orbifold_selfcover(r, o):
-                return InfinityClass("LattesLike", "2222", tuple(post))
-        except (ValueError, InfinityWeightViolation):
-            pass
+        if is_orbifold_selfcover(r, standard_orbifolds("2222", post)):
+            return InfinityClass("LattesLike", "2222", tuple(post))
     if len(post) == 3:
         for sig in ("333", "244", "236"):
             for perm in permutations(post):
-                try:
-                    o = standard_orbifolds(sig, perm)
-                    if is_orbifold_selfcover(r, o):
-                        return InfinityClass("LattesLike", sig, tuple(perm))
-                except (ValueError, InfinityWeightViolation):
-                    continue
+                if is_orbifold_selfcover(r, standard_orbifolds(sig, perm)):
+                    return InfinityClass("LattesLike", sig, tuple(perm))
     return InfinityClass("Unknown")

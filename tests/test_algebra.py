@@ -228,7 +228,41 @@ def cyclotomic_elements(draw, n):
     return Coefficient(n, [draw(small) for _ in range(euler_phi(n))])
 
 
+def oracle_str(c: Coefficient) -> str:
+    """`Coefficient.__str__` before it became `render_poly` of a constant."""
+    if c.order == 1:
+        return str(c.res[0])
+    parts = []
+    for j, x in enumerate(c.res):
+        if x == 0:
+            continue
+        if j == 0:
+            parts.append(str(x))
+        else:
+            mon = "w" if j == 1 else f"w^{j}"
+            if x == 1:
+                parts.append(mon)
+            elif x == -1:
+                parts.append(f"-{mon}")
+            else:
+                parts.append(f"{x}*{mon}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for part in parts[1:]:
+        out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+    return out
+
+
 class TestCyclotomicArithmetic:
+    @given(st.integers(1, 15), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_str_matches_the_oracle(self, n, data):
+        # units and zeros often, to reach the w, -w and skipped terms
+        residue = st.one_of(st.sampled_from([0, 1, -1]), small)
+        c = Coefficient(n, [data.draw(residue) for _ in range(euler_phi(n))])
+        assert str(c) == oracle_str(c)
+
     @given(st.sampled_from(CYCLO_ORDERS), st.data())
     @settings(max_examples=50, deadline=None)
     def test_field_laws_and_rational_operands(self, n, data):
@@ -402,6 +436,21 @@ class TestMPoly:
         assert rational_roots(X**2 + MPoly.one()) == []
         with pytest.raises(ValueError):
             rational_roots(X * Y - MPoly.one())
+
+    @given(st.sampled_from([1, 3]), st.integers(0, 8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_power_matches_repeated_products(self, order, e, data):
+        p = data.draw(poly_in(order, "x", ["y"], 0, 2))
+        want = MPoly.one()
+        for _ in range(e):
+            want = want * p
+        assert p**e == want
+        with pytest.raises(ValueError):
+            p**-1
+
+    def test_powers_of_zero(self):
+        assert MPoly.zero()**0 == MPoly.one()
+        assert MPoly.zero()**3 == MPoly.zero()
 
     def test_negative_power_raises_under_optimisation(self):
         # argument checks must not be asserts, which python -O strips

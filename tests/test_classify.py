@@ -22,6 +22,7 @@ from commend.field import _solve_linear
 from commend.mpoly import MPoly, session_order
 from commend.parse import parse_map_pair
 from commend.rat1 import RatMap1
+from test_algebra import field_elements, univariate
 from test_reports import criterion_10_base, ex3_scaled
 
 X = MPoly.var("x")
@@ -171,6 +172,97 @@ class TestDisjointIterates:
         assert not disjoint_iterates(ex4_descend(X**4), DESC2, 64)
         # least pair (3, 2): f^3 == g^2 at degree 64
         assert not disjoint_iterates(ex4_descend(X**4), ex4_descend(X**8), 64)
+
+
+def oracle_top_forms(f):
+    """The degree-d homogeneous parts of f's components as MPolys, as the
+    deleted `PlaneEndo.top_forms` built them."""
+    d = f.degree
+    return tuple(MPoly.make(comp.vars, {e: c for e, c in comp.terms.items()
+                                        if sum(e) == d})
+                 for comp in (f.comp1, f.comp2))
+
+
+def oracle_translation(f, target=None):
+    """`_translation` with its rows read off the partials of the MPoly top
+    forms."""
+    d = f.degree
+    wants = (MPoly.zero(),) * 2 if target is None else \
+        (target.comp1, target.comp2)
+    rows, rhs = [], []
+    for comp, top, want in zip((f.comp1, f.comp2), oracle_top_forms(f), wants):
+        dz1, dz2 = top.derivative("z1"), top.derivative("z2")
+        for a in range(d):
+            mono = {"z1": a, "z2": d - 1 - a}
+            rows.append((dz1.coefficient_of(mono), dz2.coefficient_of(mono)))
+            rhs.append(want.coefficient_of(mono) - comp.coefficient_of(mono))
+    u = _solve_linear(rows, rhs)
+    return None if u is None else AffineConj.shift(*u)
+
+
+def oracle_descent_poly(g):
+    """`_descent_poly` read off the MPoly top forms."""
+    t1, t2 = oracle_top_forms(g)
+    a = classify._monomial_coefficient(t1, "z1", g.degree)
+    if a is None:
+        return None
+    h = t2.substitute({"z1": MPoly.one(), "z2": X}).scale(a.inverse())
+    return None if h.is_constant() else h
+
+
+@st.composite
+def sparse_component(draw, order, degree):
+    """A nonconstant polynomial in z1, z2 of total degree at most
+    max(degree, 1), with a random subset of the monomials."""
+    terms = {(i, j): draw(field_elements(order))
+             for i in range(degree + 1) for j in range(degree + 1 - i)
+             if draw(st.booleans())}
+    p = MPoly.make(("z1", "z2"), terms)
+    return p + MPoly.var("z2", max(degree, 1)) if p.is_constant() else p
+
+
+@st.composite
+def plane_maps(draw, order):
+    """A sparse plane map of degree at most 3, its first component often of
+    lower degree than the map; or a moved Ex4 descent, sometimes with a
+    lower-degree part added to its first component."""
+    if draw(st.booleans()):
+        return PlaneEndo(*(draw(sparse_component(order, draw(st.integers(0, 3))))
+                           for _ in range(2)))
+    h = draw(univariate(order, min_degree=2, max_degree=3))
+    f = ex4_descend(h)
+    kind, p, q, t1, t2 = (draw(g) for g in _group)
+    f = affine_conjugate(f, kind(p, q, (t1, t2)))
+    extra = draw(sparse_component(order, f.degree - 1)) \
+        if draw(st.booleans()) else MPoly.zero()
+    return PlaneEndo(f.comp1 + extra, f.comp2)
+
+
+class TestTopListsAgainstForms:
+    """`_translation` and `_descent_poly` read the top forms as the lists of
+    `endo2._top_lists`; the oracles read them as MPolys."""
+
+    @given(st.sampled_from([1, 3]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_translation_and_descent_match_the_oracles(self, order, data):
+        f = data.draw(plane_maps(order))
+        # a shift of f itself makes the system consistent
+        shift = AffineConj.shift(*(data.draw(translations) for _ in "12"))
+        target = data.draw(st.one_of(st.none(), plane_maps(order),
+                                     st.just(affine_conjugate(f, shift))))
+        assert classify._translation(f) == oracle_translation(f)
+        assert classify._translation(f, target) == \
+            oracle_translation(f, target)
+        h = classify._descent_poly(f)
+        assert h == oracle_descent_poly(f)
+        if f.comp1.total_degree() < f.degree:
+            assert h is None
+
+    def test_descent_of_an_ex4_map_and_of_a_lower_first_component(self):
+        h = X**3 - X.scale(3) + MPoly.constant(Fraction(1, 2))
+        assert classify._descent_poly(ex4_descend(h)) == h
+        assert classify._descent_poly(endo("(z1 + z2, z1^2)")) is None
+        assert classify._descent_poly(endo("(z1^2 + z2^2, z2^2)")) is None
 
 
 class TestRecognize:

@@ -7,7 +7,7 @@ import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from commend.endo2 import PlaneEndo, commutes, compose
@@ -16,10 +16,11 @@ from commend.errors import (NotCommuting, NotSplit, NotSymmetric,
 from commend.families import (EllipticCurveData, chebyshev, elliptic_lattes,
                               ex1, ex2, ex3_lift, ex4_descend, sym_reduce,
                               symmetrization, two_torsion_orbifold)
-from commend.field import Coefficient
+from commend.field import Coefficient, kth_roots
 from commend.mpoly import MPoly, gcd_poly
 from commend.parse import parse_poly
 from commend.rat1 import RatMap1, classify_infinity, commutes1, compose1
+from test_algebra import field_elements
 
 X, Y = MPoly.var("x"), MPoly.var("y")
 
@@ -101,6 +102,127 @@ class TestEx3:
         if not commutes1(r1, r3):
             with pytest.raises(NotCommuting):
                 ex3_lift(r1, r3)
+
+
+def oracle_ratio(r1, r2):
+    """c with r1 o r2 = c (r2 o r1) on the forms, by four substitutions of
+    the s, t views, as `ex3_lift` once computed it; None when the composites
+    are not proportional."""
+    bind21 = {"s": r2.formS, "t": r2.formT}
+    bind12 = {"s": r1.formS, "t": r1.formT}
+    a_s, a_t = r1.formS.substitute(bind21), r1.formT.substitute(bind21)
+    b_s, b_t = r2.formS.substitute(bind12), r2.formT.substitute(bind12)
+    base = b_s if not b_s.is_zero() else b_t
+    top = a_s if not b_s.is_zero() else a_t
+    c = top.leading_coefficient() / base.leading_coefficient()
+    if a_s != b_s.scale(c) or a_t != b_t.scale(c):
+        return None
+    return c
+
+
+def oracle_ex3_lift(r1, r2, lam1=None, lam2=None):
+    """`ex3_lift` on the s, t views: `commutes1`, then `oracle_ratio`."""
+    if not commutes1(r1, r2):
+        raise NotCommuting("line maps do not commute")
+    d1, d2 = r1.degree, r2.degree
+    c = oracle_ratio(r1, r2)
+    if c is None:
+        raise NotCommuting("compositions are not proportional")
+    if lam1 is not None or lam2 is not None:
+        lam1 = Coefficient.coerce(1 if lam1 is None else lam1)
+        lam2 = Coefficient.coerce(1 if lam2 is None else lam2)
+        if lam1**(d2 - 1) != (lam2**(d1 - 1)) * c:
+            raise ScalarNotSolvable("supplied scalars violate the constraint")
+    else:
+        lam2 = Coefficient.one()
+        if d2 == 1:
+            if not c.is_one():
+                raise ScalarNotSolvable("no scalar works for a degree-1 second map")
+            lam1 = Coefficient.one()
+        else:
+            roots = kth_roots(c, d2 - 1, max(c.order, 1))
+            if not roots:
+                raise ScalarNotSolvable("constraint has no root in the session field")
+            lam1 = sorted(roots, key=Coefficient.sort_key)[0]
+    bind = {"s": MPoly.var("z1"), "t": MPoly.var("z2")}
+    f1, f2 = (PlaneEndo(r.formS.substitute(bind).scale(lam),
+                        r.formT.substitute(bind).scale(lam))
+              for r, lam in ((r1, lam1), (r2, lam2)))
+    if not commutes(f1, f2):
+        raise NotCommuting("lifted maps do not commute")
+    return f1, f2
+
+
+def _outcome(lift, *args):
+    try:
+        return lift(*args)
+    except (NotCommuting, ScalarNotSolvable) as e:
+        return type(e), str(e)
+
+
+@st.composite
+def commuting_line_maps(draw, order):
+    """Power or monic Chebyshev line maps of degrees 1..3, both conjugated
+    by one drawn Moebius map M (as M^-1 o r o M, through its adjugate), each
+    with its forms scaled by a drawn constant."""
+    kind = draw(st.sampled_from(["power", "chebyshev"]))
+    degrees = draw(st.sampled_from([(2, 3), (3, 2), (2, 2), (1, 2), (2, 1)]))
+    elements = field_elements(order)
+    m11, m12, m21, m22 = (draw(elements) for _ in range(4))
+    assume(m11 * m22 != m12 * m21)
+    s, t = MPoly.var("s"), MPoly.var("t")
+    move = {"s": s.scale(m11) + t.scale(m12), "t": s.scale(m21) + t.scale(m22)}
+    out = []
+    for d in degrees:
+        if kind == "power":
+            base = RatMap1(s**d, t**d)
+        else:
+            base = RatMap1.from_polynomial(chebyshev(d, "monic"))
+        S, T = (form.substitute(move) for form in (base.formS, base.formT))
+        k = draw(st.one_of(st.just(1), elements.filter(bool)))
+        out.append(RatMap1((S.scale(m22) - T.scale(m12)).scale(k),
+                           (T.scale(m11) - S.scale(m21)).scale(k)))
+    return tuple(out)
+
+
+class TestEx3AgainstSubstitutions:
+    """`ex3_lift` composes once per order and reads c off the lists; the
+    oracle composes the s, t views four times after `commutes1`."""
+
+    @given(st.sampled_from([1, 3]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_oracle(self, order, data):
+        r1, r2 = data.draw(commuting_line_maps(order))
+        c = oracle_ratio(r1, r2)
+        assert c is not None  # commuting composites are proportional
+        d1, d2 = r1.degree, r2.degree
+        choice = data.draw(st.sampled_from(["none", "solved", "drawn"]))
+        v = data.draw(field_elements(order).filter(bool))
+        if choice == "none":
+            args = ()
+        elif choice == "drawn":
+            args = (v, data.draw(field_elements(order).filter(bool)))
+        else:
+            # lam1 = c^x v^(d1-1) and lam2 = c^y v^(d2-1) meet
+            # lam1^(d2-1) = lam2^(d1-1) c when x (d2-1) = y (d1-1) + 1
+            x, y = next((x, y) for x in range(-3, 4) for y in range(-3, 4)
+                        if x * (d2 - 1) == y * (d1 - 1) + 1)
+            args = (c**x * v**(d1 - 1), c**y * v**(d2 - 1))
+        got = _outcome(ex3_lift, r1, r2, *args)
+        assert got == _outcome(oracle_ex3_lift, r1, r2, *args)
+        if choice == "solved":
+            assert isinstance(got[0], PlaneEndo)
+
+    @given(st.sampled_from([1, 3]), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_rejects_what_the_oracle_rejects(self, order, data):
+        r1, r2 = data.draw(commuting_line_maps(order))
+        # x -> r2(x) + 1 commutes with r1 only by accident
+        moved = RatMap1(r2.formS, r2.formT + r2.formS)
+        want = _outcome(oracle_ex3_lift, r1, moved)
+        assert _outcome(ex3_lift, r1, moved) == want
+        if not commutes1(r1, moved):
+            assert want == (NotCommuting, "line maps do not commute")
 
 
 class TestEx4:

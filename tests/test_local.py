@@ -1,5 +1,7 @@
 """Local multiplicities, degree identities, quasi-homogeneous reductions."""
 
+from fractions import Fraction
+
 import pytest
 
 from commend.endo2 import PlaneEndo
@@ -8,6 +10,7 @@ from commend.errors import (CommutationFails, NotIsolated,
 from commend.local import (LocalFrame, alpha_exponent, d_alpha,
                            intersection_mult, local_degree, prop2_reduce,
                            quasi_part, verify_lemma3, verify_lemma4)
+from commend.mpoly import MPoly
 from commend.parse import parse_map_pair, parse_poly
 
 
@@ -50,6 +53,27 @@ class TestIntersectionMult:
     def test_symmetric(self):
         a, b = parse_poly("z2 - z1^2"), parse_poly("z2^2 - z1^3")
         assert intersection_mult(a, b) == intersection_mult(b, a)
+
+    def test_more_shears_than_sixteen(self):
+        # g1 = z1 - q(z2) and g2 = z2 (z2 - 2) ... (z2 - 17) meet at the
+        # origin and at (q(r), r) = (tau*r, r) for r = 2..17, so each of the
+        # shears tau = 0, 1, -1, ..., 7, -7, 8 sees a second common zero on
+        # its line z1 = tau*z2; the next one, tau = -8, sees none
+        z1, z2 = MPoly.var("z1"), MPoly.var("z2")
+        taus = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8]
+        nodes = [(0, 0)] + [(r, tau * r) for r, tau in zip(range(2, 18), taus)]
+        q = MPoly.zero()
+        for x_i, y_i in nodes:
+            basis = MPoly.constant(y_i)
+            for x_j, _y in nodes:
+                if x_j != x_i:
+                    basis = (basis * (z2 - MPoly.constant(x_j))).scale(
+                        Fraction(1, x_i - x_j))
+            q = q + basis
+        g2 = z2
+        for r in range(2, 18):
+            g2 = g2 * (z2 - MPoly.constant(r))
+        assert intersection_mult(z1 - q, g2) == 1
 
 
 class TestLocalDegree:

@@ -504,6 +504,15 @@ class TestClassifyInfinity:
         assert classify_infinity(poly_map("x^2 + 1")).tag == "Unknown"
         assert classify_infinity(poly_map("x^3 + x")).tag == "Unknown"
 
+    def test_lattes_branch_error_propagates(self, monkeypatch):
+        # a ValueError from a bug in the cover check must not read as Unknown
+        def broken(*_args):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(rat1, "is_orbifold_selfcover", broken)
+        with pytest.raises(ValueError, match="injected"):
+            classify_infinity(LATTES2)
+
     @given(st.integers(min_value=2, max_value=6))
     @settings(max_examples=5, deadline=None)
     def test_chebyshev_family_classified(self, d):

@@ -6,8 +6,9 @@ larger search grids, the Lattes maps of the division-polynomial builder,
 two non-square ramified invariances, a critical orbit whose critical part
 splits into two lines, a Lattes self-cover whose marked points leave Q, a
 ramified invariance over Q(i), option values that begin with '-', an
-iterate count far past the degree cap and two bare polynomials that are
-not polynomial maps, run in-process through `cli.main`.
+iterate count far past the degree cap, two bare polynomials that are not
+polynomial maps and the scalar lifts of `construct --family ex3`, run
+in-process through `cli.main`.
 
 `tests/data/reports.txt` holds, for each command, a `$ commend ...` line and
 the exact stdout bytes of the report.  Regenerate it (only when a report is
@@ -312,6 +313,25 @@ ITERATE_COMMANDS = [["iterate", "--f", "(z1^3, z2^3)", "--n", "1000000000"]]
 BARE_MAP_COMMANDS = [["classify-p1", "--map", "0"],
                      ["classify-p1", "--map", "x*y"]]
 
+# construct --family ex3: over Q with a ratio c = 1/4 and with the monic
+# Chebyshev maps; over Q(zeta_3) with c = 4 and a supplied scalar, with c = 4
+# and none, with c = w, and with a scalar that violates the constraint; a
+# pair of line maps that does not commute
+EX3 = ["construct", "--family", "ex3"]
+EX3_CONSTRUCT_COMMANDS = [
+    [*EX3, "--f", "(2*s^2, 2*t^2)", "--g", "(s^3, t^3)"],
+    [*EX3, "--f", "cheb:2", "--g", "cheb:3"],
+    ["--cyclotomic", "3", *EX3, "--f", "(s^2, w*t^2)",
+     "--g", "(4*s^3, 4*w^2*t^3)", "--lam", "2"],
+    ["--cyclotomic", "3", *EX3, "--f", "(s^2, w*t^2)",
+     "--g", "(4*s^3, 4*w^2*t^3)"],
+    ["--cyclotomic", "3", *EX3, "--f", "(w*s^2, w*t^2)", "--g", "(s^3, t^3)",
+     "--lam", "w^2"],
+    ["--cyclotomic", "3", *EX3, "--f", "(s^2, w*t^2)",
+     "--g", "(4*s^3, 4*w^2*t^3)", "--lam", "w"],
+    [*EX3, "--f", "(s^2, t^2)", "--g", "(s^3, -t^3)"],
+]
+
 
 def golden_commands():
     classify = [["classify", "--f", f"({f1.comp1}, {f1.comp2})",
@@ -323,7 +343,8 @@ def golden_commands():
     return (README_COMMANDS + classify + [ex3_scaled_command()] + P1_COMMANDS
             + critical_layer_commands() + IMAGE_CURVE_COMMANDS + portraits
             + SEARCH_COMMANDS + LATTES_COMMANDS + SQRT_AND_SPLIT_COMMANDS
-            + SESSION_AND_ARGV_COMMANDS + ITERATE_COMMANDS + BARE_MAP_COMMANDS)
+            + SESSION_AND_ARGV_COMMANDS + ITERATE_COMMANDS + BARE_MAP_COMMANDS
+            + EX3_CONSTRUCT_COMMANDS)
 
 
 def render_reports() -> str:
