@@ -26,7 +26,11 @@ otherwise the matchers Ex1, Ex2, Ex4 run in turn (Ex4 alone when no shift
 centres f1), and the first exact match answers.  That is the verdict of
 Ex1, Ex2, Ex3, Ex4 in a row: Ex1 and Ex2 compare linear conjugates of the
 centred maps, homogeneous when those are, with normal forms that are not,
-and Ex3 takes only homogeneous pairs.
+and Ex3 takes only homogeneous pairs.  Only the centring shift, and the
+last shift of Ex4, go through substitution (`affine_conjugate`): the L tried
+are diagonal or antidiagonal, and conjugating by one rescales the
+coefficients, swapping the exponents for an antidiagonal L
+(`_monomial_conjugate`), since conj(f, a o b) = conj(conj(f, a), b).
 
 Guaranteed: a pair conjugate to an Ex1-Ex4 normal-form pair by a sigma with
 L diagonal or antidiagonal, its entries rationals times roots of unity of
@@ -46,15 +50,14 @@ from typing import NamedTuple
 
 from .endo2 import (DEFAULT_DEGREE_CAP, PlaneEndo, _top_lists, commutes,
                     compose, extends_to_p2, iterate)
-from .errors import BudgetExceeded, NotCommuting, PreconditionViolated
-from .families import (FamilyTag, chebyshev, chebyshev_conjugacies, ex1,
-                       ex2, ex4_descend)
+from .errors import BudgetExceeded, PreconditionViolated
+from .families import (FamilyTag, _ex1_pair, chebyshev,
+                       chebyshev_conjugacies, ex2, ex4_descend)
 from .field import (Coefficient, _left_inverse, _solve_linear, kth_roots,
                     roots_of_unity)
 from .mpoly import MPoly, from_dense, session_order
 
 Z1, Z2 = MPoly.var("z1"), MPoly.var("z2")
-Y = MPoly.var("y")
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +145,24 @@ def affine_conjugate(f: PlaneEndo, s: AffineConj) -> PlaneEndo:
                      moved1.scale(c) + moved2.scale(d) + MPoly.constant(t2))
 
 
+def _monomial_conjugate(f: PlaneEndo, s: AffineConj) -> PlaneEndo:
+    """affine_conjugate(f, s) for s(z) = (p z1, q z2) or (p z2, q z1), read
+    off f's coefficients: the z1^i z2^j term of f's component k gets the
+    factor p^i q^j / (p, q)[k]; for the second s that term moves to z1^j z2^i
+    in the other component."""
+    if s == IDENTITY:
+        return f
+    (a, b), (c, d) = s.linear
+    swap = a.is_zero()
+    p, q = (b, c) if swap else (a, d)
+    pp, qq = ([x**k for k in range(f.degree + 1)] for x in (p, q))
+    first, second = (f.comp1, p.inverse()), (f.comp2, q.inverse())
+    return PlaneEndo(*(MPoly.make(("z1", "z2"), {
+        (j, i) if swap else (i, j): coef * pp[i] * qq[j] * inv
+        for (i, j), coef in comp._embed(("z1", "z2")).items()})
+        for comp, inv in ((second, first) if swap else (first, second))))
+
+
 # ---------------------------------------------------------------------------
 # Disjoint iterates certificate
 # ---------------------------------------------------------------------------
@@ -178,11 +199,6 @@ def disjoint_iterates(f1: PlaneEndo, f2: PlaneEndo,
 # ---------------------------------------------------------------------------
 
 
-def _as_y(p: MPoly) -> MPoly:
-    sub = {v: Y for v in p.vars}
-    return p.substitute(sub) if sub else p
-
-
 def _monomial_coefficient(p: MPoly, var: str, d: int):
     """c when p == c * var^d exactly, else None."""
     if set(p.vars) <= {var} and len(p.terms) == 1 and p.degree_in(var) == d:
@@ -193,10 +209,11 @@ def _monomial_coefficient(p: MPoly, var: str, d: int):
 def _split(f: PlaneEndo):
     """("straight"|"swap", u, v) when the coordinates decouple, else None."""
     c1, c2 = f.comp1, f.comp2
+    as_y = {"z1": "y", "z2": "y"}  # each component is in one variable
     if not c1.depends_on("z2") and not c2.depends_on("z1"):
-        return "straight", _as_y(c1), _as_y(c2)
+        return "straight", c1.rename(as_y), c2.rename(as_y)
     if not c1.depends_on("z1") and not c2.depends_on("z2"):
-        return "swap", _as_y(c1), _as_y(c2)
+        return "swap", c1.rename(as_y), c2.rename(as_y)
     return None
 
 
@@ -237,10 +254,14 @@ class Verdict:
 
 
 def _match_ex1(f1, f2, order, centred):
+    # f_i conjugated by sigma = centre o base o diag(p, q) is c_i conjugated
+    # by the monomial map base o diag(p, q).  The normal forms are built
+    # unchecked (`_ex1_pair`): the input pair commutes (see `recognize`), so
+    # normal forms equal to its conjugates commute, and others never match.
     centre, c1, c2 = centred
     for base in (IDENTITY, SWAP):
-        h1 = affine_conjugate(c1, base)
-        h2 = affine_conjugate(c2, base)
+        h1 = _monomial_conjugate(c1, base)
+        h2 = _monomial_conjugate(c2, base)
         for g1, g2, flipped in ((h1, h2, False), (h2, h1, True)):
             d1, d2 = g1.degree, g2.degree
             s1 = _split(g1)
@@ -255,17 +276,14 @@ def _match_ex1(f1, f2, order, centred):
             for p in kth_roots(k1.inverse(), d1 - 1, order):
                 lam = k2 * p**(d2 - 1)
                 for q, _theta, sgn1 in cheb1:
-                    sigma = centre.compose(base).compose(
-                        AffineConj.diagonal(p, q))
+                    scale = AffineConj.diagonal(p, q)
+                    moved = (_monomial_conjugate(h1, scale),
+                             _monomial_conjugate(h2, scale))
                     for sgn2 in (1, -1):
-                        try:
-                            t1, t2 = ex1(d1, d2, lam, (sgn1, sgn2))
-                        except (NotCommuting, PreconditionViolated):
-                            continue
-                        want1, want2 = (t2, t1) if flipped else (t1, t2)
-                        if affine_conjugate(f1, sigma) == want1 and \
-                                affine_conjugate(f2, sigma) == want2:
+                        t1, t2 = _ex1_pair(d1, d2, lam, (sgn1, sgn2))
+                        if moved == ((t2, t1) if flipped else (t1, t2)):
                             tag = FamilyTag("Ex1", (d1, d2, lam, (sgn1, sgn2)))
+                            sigma = centre.compose(base).compose(scale)
                             return Verdict("Ex1", tag, sigma)
     return None
 
@@ -290,7 +308,7 @@ def _ex2_swap_scales(u: MPoly, order: int):
     if d < 2:
         return []
     w = u.dense_in("y")
-    tau = chebyshev(d, "classical").substitute({"x": Y}).dense_in("y")
+    tau = chebyshev(d, "classical").dense_in("x")
     if w[d - 2].is_zero():
         return []
     ratio = (tau[d] * w[d - 2]) / (tau[d - 2] * w[d])
@@ -315,11 +333,13 @@ def _match_ex2(f1, f2, order, centred):
     else:
         scales = _ex2_swap_scales(s1[1], order)
     for p, q in scales:
-        sigma = centre.compose(AffineConj.diagonal(p, q))
-        m1 = _ex2_params(affine_conjugate(f1, sigma))
-        m2 = m1 and _ex2_params(affine_conjugate(f2, sigma))
+        # f_i conjugated by centre o diag(p, q) is c_i conjugated by diag(p, q)
+        scale = AffineConj.diagonal(p, q)
+        m1 = _ex2_params(_monomial_conjugate(c1, scale))
+        m2 = m1 and _ex2_params(_monomial_conjugate(c2, scale))
         if m2:
-            return Verdict("Ex2", FamilyTag("Ex2", (m1, m2)), sigma)
+            return Verdict("Ex2", FamilyTag("Ex2", (m1, m2)),
+                           centre.compose(scale))
     return None
 
 
@@ -355,7 +375,7 @@ def _match_ex4(f1, f2, order, _centred):
     rank = {u: i for i, u in enumerate(roots_of_unity(order))}
     tries = []
     for swapped, base in enumerate((IDENTITY, SWAP)):
-        g = affine_conjugate(f1, base)
+        g = _monomial_conjugate(f1, base)
         d, S, _T = _top_lists(g)
         a = _z1_power(S)
         c = g.comp1.coefficient_of({"z1": d - 2, "z2": 1})
@@ -374,7 +394,7 @@ def _match_ex4(f1, f2, order, _centred):
         tries.append((key, base.compose(
             AffineConj.diagonal(beta, q * beta * beta))))
     for _key, linear in sorted(tries, key=lambda t: t[0]):
-        g1, g2 = affine_conjugate(f1, linear), affine_conjugate(f2, linear)
+        g1, g2 = _monomial_conjugate(f1, linear), _monomial_conjugate(f2, linear)
         h1, h2 = _descent_poly(g1), _descent_poly(g2)
         if h1 is None or h2 is None:
             continue
@@ -382,10 +402,11 @@ def _match_ex4(f1, f2, order, _centred):
         shift = _translation(g1, want1)
         if shift is None:
             continue
-        sigma = linear.compose(shift)
-        if affine_conjugate(f1, sigma) == want1 and \
-                affine_conjugate(f2, sigma) == want2:
-            return Verdict("Ex4", FamilyTag("Ex4", (h1, h2)), sigma)
+        # f_i conjugated by linear o shift is g_i conjugated by shift
+        if affine_conjugate(g1, shift) == want1 and \
+                affine_conjugate(g2, shift) == want2:
+            return Verdict("Ex4", FamilyTag("Ex4", (h1, h2)),
+                           linear.compose(shift))
     return None
 
 
@@ -464,18 +485,24 @@ class SearchSummary:
         }
 
 
-# parameters of the degree-d grid maps; the grid of a coefficient set holds
-# every tuple of them, in lexicographic order
+# the z1^i z2^j of each component's terms in the degree-d grid maps: the
+# first with coefficient 1, the others with the parameters in turn; the grid
+# of a coefficient set holds every tuple of parameters, in lexicographic order
+_GRID_TERMS = {2: (((2, 0), (0, 1), (0, 0)), ((0, 2), (1, 0), (0, 0))),
+               3: (((3, 0), (1, 1), (1, 0)), ((0, 3), (0, 1)))}
 _GRID_PARAMS = {2: 4, 3: 3}
 
 
 def _grid_endo(d: int, params):
-    """Components of the degree-d grid map; params are ints or MPoly vars."""
-    if d == 2:
-        a, b, c, e = map(MPoly.coerce, params)
-        return Z1**2 + Z2 * a + b, Z2**2 + Z1 * c + e
-    a, b, dd = map(MPoly.coerce, params)
-    return Z1**3 + Z1 * Z2 * a + Z1 * b, Z2**3 + Z2 * dd
+    """Components of the degree-d grid map; numbers go straight into its
+    terms, MPoly parameters multiply their monomials."""
+    it = iter(params)
+    comps = [[(lead, 1)] + [(e, next(it)) for e in rest]
+             for lead, *rest in _GRID_TERMS[d]]
+    if any(isinstance(x, MPoly) for x in params):
+        return tuple(MPoly._sum(MPoly.make(("z1", "z2"), {e: 1}) * c
+                                for e, c in terms) for terms in comps)
+    return tuple(MPoly.make(("z1", "z2"), dict(terms)) for terms in comps)
 
 
 def _integer_terms(p: MPoly, names, den: int):

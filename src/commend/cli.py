@@ -41,8 +41,7 @@ def _plane_map(session: Session, text: str) -> endo2.PlaneEndo:
     text = text.strip()
     if text.startswith("cheb:"):
         t = families.chebyshev(_integer(text[5:]), "monic")
-        return endo2.PlaneEndo(t.substitute({"x": MPoly.var("z1")}),
-                               t.substitute({"x": MPoly.var("z2")}))
+        return endo2.PlaneEndo(t.rename({"x": "z1"}), t.rename({"x": "z2"}))
     if text.startswith("ex4:"):
         h = parse_poly(text[4:], session.cyclotomic_order)
         return families.ex4_descend(h)

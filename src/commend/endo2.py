@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (DegreeLimitExceeded, NotDivisible, NotExtendable,
-                     PreconditionViolated, ZeroJacobian)
+from .errors import (BudgetExceeded, DegreeLimitExceeded, NotDivisible,
+                     NotExtendable, PreconditionViolated, ZeroJacobian)
 from .field import Coefficient, _dense_sub, dense_mul, first_relation
 from .mpoly import (MPoly, _dense_derivative, dense_eval, dense_gcd,
                     dense_rational_roots, forms_share_zero, from_dense,
@@ -19,6 +19,7 @@ from .mpoly import (MPoly, _dense_derivative, dense_eval, dense_gcd,
                     squarefree_decompose, squarefree_part)
 
 DEFAULT_DEGREE_CAP = 512
+AFFINE_POWER_BITS = 1 << 16
 
 
 class PlaneEndo:
@@ -89,16 +90,30 @@ def commutes(f: PlaneEndo, g: PlaneEndo) -> bool:
 
 
 def iterate(f: PlaneEndo, n: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> PlaneEndo:
+    """f^n by repeated squaring.  A map of degree one is affine, with 3x3
+    augmented matrices for powers: no degree cap applies, but a square with
+    a coefficient (numerator and denominator) past AFFINE_POWER_BITS bits
+    raises BudgetExceeded."""
     if n < 0:
         raise PreconditionViolated("iterate count must be nonnegative")
     # for d >= 2, d^n >= 2^n > cap once n reaches cap's bit length
     d = f.degree
-    if (d > 1 and n >= degree_cap.bit_length()) or d**n > degree_cap:
+    if d > 1 and (n >= degree_cap.bit_length() or d**n > degree_cap):
         raise DegreeLimitExceeded(f"degree {d}^{n} exceeds cap {degree_cap}")
     result = PlaneEndo.identity()
-    for _ in range(n):
-        result = compose(f, result)
-    return result
+    while True:
+        if n & 1:
+            result = compose(result, f)
+        n >>= 1
+        if not n:
+            return result
+        f = compose(f, f)
+        if d == 1 and any(
+                r.numerator.bit_length() + r.denominator.bit_length()
+                > AFFINE_POWER_BITS for comp in (f.comp1, f.comp2)
+                for c in comp.terms.values() for r in c.res):
+            raise BudgetExceeded("a power of the affine map has a "
+                                 f"coefficient past {AFFINE_POWER_BITS} bits")
 
 
 def _top_lists(f: PlaneEndo):

@@ -75,7 +75,7 @@ class PreconditionViolated(CommendError):
 
 
 class BudgetExceeded(CommendError):
-    """A search ran past its budget; carries a partial summary."""
+    """A computation ran past its budget; a search's has a partial summary."""
 
     def __init__(self, message, partial=None):
         super().__init__(message)

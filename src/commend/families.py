@@ -9,12 +9,14 @@ lists; only `compose1` reads their s, t views.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .endo2 import PlaneEndo, commutes
 from .errors import (NotCommuting, NotSplit, NotSymmetric, PreconditionViolated,
                      ScalarNotSolvable)
-from .field import Coefficient, _dense_sub, dense_mul, kth_roots
+from .field import (Coefficient, _dense_sub, dense_mul, dense_shift,
+                    kth_roots)
 from .mpoly import MPoly, kernel_lists, rational_roots
 from .rat1 import (POINT_INF, Orbifold1, RatMap1, _form_from_dense,
                    affine_point, compose1)
@@ -23,6 +25,7 @@ X, Y = MPoly.var("x"), MPoly.var("y")
 Z1, Z2 = MPoly.var("z1"), MPoly.var("z2")
 
 
+@functools.cache
 def chebyshev(d: int, kind: str = "monic") -> MPoly:
     """Degree-d Chebyshev polynomial in x; monic variant has leading coeff 1."""
     if d < 1:
@@ -53,29 +56,34 @@ def chebyshev_conjugacies(p: MPoly, order: int) -> list:
     p is a polynomial in y of degree d >= 2 (else there are none), T_d the
     classical Chebyshev polynomial and beta ranges over Q(zeta_order).  As
     the monic polynomial is 2*T_d(y/2), p is conjugate to sign times it
-    through y -> (beta/2)*y + theta.
+    through y -> (beta/2)*y + theta.  The test runs on coefficient lists: p
+    is shifted by theta once (`dense_shift`), and entry k of p(beta*y +
+    theta) is entry k of that shift times beta^k.
     """
     d = p.degree_in("y")
-    if d < 2:
+    if d < 2 or p.vars != ("y",):
         return []
     theta = depression_shift(p)
-    target = chebyshev(d, "classical").substitute({"x": Y})
+    shifted = dense_shift(p.dense_in("y"), theta)
+    tau = chebyshev(d, "classical").dense_in("x")
     out = []
     for sign in (1, -1):
-        scale = target.leading_coefficient() * Coefficient.rational(sign)
-        for beta in kth_roots(scale / p.leading_coefficient(), d - 1, order):
-            if beta.is_zero():
-                continue
-            lhs = p.substitute({"y": Y.scale(beta) + MPoly.constant(theta)})
-            rhs = target.scale(beta * Coefficient.rational(sign)) \
-                + MPoly.constant(theta)
+        # tau[d] * sign / shifted[d] is not zero, nor then is any beta
+        for beta in kth_roots(tau[d] * sign / shifted[d], d - 1, order):
+            lhs = [c * beta**k for k, c in enumerate(shifted)]
+            rhs = [t * beta * sign for t in tau]
+            rhs[0] = rhs[0] + theta
             if lhs == rhs:
                 out.append((beta, theta, sign))
     return out
 
 
-def _on_z2(p: MPoly) -> MPoly:
-    return p.substitute({"x": Z2})
+def _ex1_pair(d1: int, d2: int, lam: Coefficient, signs):
+    """The maps of `ex1`, not checked to commute."""
+    t1, t2 = (chebyshev(d, "classical").rename({"x": "z2"}).scale(sign)
+              for d, sign in zip((d1, d2), signs))
+    return (PlaneEndo(MPoly.var("z1", d1), t1),
+            PlaneEndo(MPoly.var("z1", d2).scale(lam), t2))
 
 
 def ex1(d1: int, d2: int, lam, signs=(1, 1)):
@@ -83,9 +91,7 @@ def ex1(d1: int, d2: int, lam, signs=(1, 1)):
     lam = Coefficient.coerce(lam)
     if lam.is_zero():
         raise PreconditionViolated("scalar must be nonzero")
-    s1, s2 = signs
-    f1 = PlaneEndo(Z1**d1, _on_z2(chebyshev(d1, "classical")).scale(s1))
-    f2 = PlaneEndo((Z1**d2).scale(lam), _on_z2(chebyshev(d2, "classical")).scale(s2))
+    f1, f2 = _ex1_pair(d1, d2, lam, signs)
     if not commutes(f1, f2):
         raise NotCommuting("parameters violate the commutation constraints")
     return f1, f2
@@ -93,15 +99,12 @@ def ex1(d1: int, d2: int, lam, signs=(1, 1)):
 
 def ex2(d: int, variant: str = "straight", signs=(1, 1)) -> PlaneEndo:
     """Coordinatewise Chebyshev map, optionally swapping the coordinates."""
-    s1, s2 = signs
-    t_z1 = chebyshev(d, "classical").substitute({"x": Z1}).scale(s1)
-    t_z2 = _on_z2(chebyshev(d, "classical")).scale(s2)
-    if variant == "straight":
-        return PlaneEndo(t_z1, t_z2)
-    if variant == "swap":
-        return PlaneEndo(chebyshev(d, "classical").substitute({"x": Z2}).scale(s1),
-                         chebyshev(d, "classical").substitute({"x": Z1}).scale(s2))
-    raise ValueError(f"unknown variant {variant!r}")
+    names = {"straight": ("z1", "z2"), "swap": ("z2", "z1")}.get(variant)
+    if names is None:
+        raise ValueError(f"unknown variant {variant!r}")
+    cheb = chebyshev(d, "classical")
+    return PlaneEndo(*(cheb.rename({"x": name}).scale(sign)
+                       for name, sign in zip(names, signs)))
 
 
 def _lift(r: RatMap1, lam) -> PlaneEndo:
@@ -155,7 +158,7 @@ def sym_reduce(s: MPoly) -> MPoly:
     """Rewrite a symmetric polynomial in x, y in the elementary basis e1, e2."""
     if set(s.vars) - {"x", "y"}:
         raise ValueError("input must be a polynomial in x, y")
-    if s.substitute({"x": Y, "y": X}) != s:
+    if s.rename({"x": "y", "y": "x"}) != s:
         raise NotSymmetric("polynomial is not swap-invariant")
     e1, e2 = MPoly.var("e1"), MPoly.var("e2")
     e1_xy = X + Y
@@ -187,7 +190,7 @@ def ex4_descend(h: MPoly) -> PlaneEndo:
     if h.is_constant():
         raise PreconditionViolated("h must be nonconstant")
     hx = h
-    hy = h.substitute({"x": Y})
+    hy = h.rename({"x": "y"})
     comp1 = sym_reduce(hx + hy).substitute({"e1": Z1, "e2": Z2})
     comp2 = sym_reduce(hx * hy).substitute({"e1": Z1, "e2": Z2})
     f = PlaneEndo(comp1, comp2)

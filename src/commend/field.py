@@ -101,6 +101,16 @@ def dense_mul(a: list, b: list) -> list:
     return _trim(out)
 
 
+def dense_shift(a: list, t) -> list:
+    """The list of a(x + t).  Pass i divides a[i:] by x - t by Horner's rule:
+    entry i of a(x + t) is the remainder, left in a[i]."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for k in range(len(a) - 2, i - 1, -1):
+            a[k] = a[k] + t * a[k + 1]
+    return a
+
+
 def _exact_quotient(a, b):
     """a / b in Z or K[z2]; NotDivisible when b does not divide a."""
     if type(b) is not int:

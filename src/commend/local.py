@@ -15,7 +15,7 @@ from .endo2 import PlaneEndo
 from .errors import (CommutationFails, NoCaseMatch, NotIsolated,
                      PreconditionViolated, ShapeMismatch)
 from .families import chebyshev_conjugacies, depression_shift
-from .field import Coefficient
+from .field import Coefficient, dense_shift
 from .mpoly import (MPoly, gcd_poly, resultant, session_order,
                     squarefree_decompose)
 
@@ -28,7 +28,7 @@ def _to_plane(g: MPoly) -> MPoly:
     if vars_ <= {"z1", "z2"}:
         return g
     if vars_ <= {"x", "y"}:
-        return g.substitute({"x": Z1, "y": Z2})
+        return g.rename({"x": "z1", "y": "z2"})
     raise ValueError(f"expected a polynomial in z1, z2 (got {sorted(vars_)})")
 
 
@@ -199,7 +199,7 @@ def _to_xy(h: MPoly) -> MPoly:
     if vars_ <= {"x", "y"}:
         return h
     if vars_ <= {"z1", "z2"}:
-        return h.substitute({"z1": MPoly.var("x"), "z2": MPoly.var("y")})
+        return h.rename({"z1": "x", "z2": "y"})
     raise ValueError(f"expected a polynomial in x, y (got {sorted(vars_)})")
 
 
@@ -258,19 +258,13 @@ def _compose_1d(p: MPoly, q: MPoly) -> MPoly:
 def _is_shifted_monomial(p: MPoly, d: int):
     """If p(y + t) - p(t) == a*y^d for the canonical depression shift t,
     return (a, t); otherwise None."""
-    if p.degree_in("y") != d:
+    if p.degree_in("y") != d or p.vars != ("y",):
         return None
     t = depression_shift(p)
-    y = MPoly.var("y")
-    shifted = p.substitute({"y": y + MPoly.constant(t)})
-    value = p.evaluate({"y": t})
-    q = shifted - MPoly.constant(value)
-    for e, c in q.terms.items():
-        if (e[0] if q.vars else 0) != d and not c.is_zero():
-            return None
-    if value != t:
+    shifted = dense_shift(p.dense_in("y"), t)  # shifted[0] == p(t)
+    if any(shifted[1:d]) or shifted[0] != t:
         return None
-    return q.leading_coefficient(), t
+    return shifted[d], t
 
 
 def prop2_reduce(f1: LocalFrame, f2: LocalFrame):
@@ -281,7 +275,7 @@ def prop2_reduce(f1: LocalFrame, f2: LocalFrame):
         d = _first_component_order(m.comp1)
         if d < 2:
             raise ShapeMismatch("first components need z1-order at least 2")
-        h = _to_xy(m.comp2.substitute({"z1": MPoly.var("x"), "z2": MPoly.var("y")}))
+        h = _to_xy(m.comp2)
         support = _support_xy(h)
         pure_y = [(l, c) for k, l, c in support if k == 0]
         if len(pure_y) != 1 or pure_y[0][0] != d or not pure_y[0][1].is_one():

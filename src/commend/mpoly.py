@@ -250,6 +250,18 @@ class MPoly:
 
         return MPoly._sum(term(e, c) for e, c in self.terms.items())
 
+    def rename(self, mapping: dict) -> "MPoly":
+        """The polynomial with each variable v named mapping.get(v, v), read
+        off the exponents: those of variables given one name add up."""
+        names = [mapping.get(v, v) for v in self.vars]
+        variables = sorted(set(names), key=_var_rank)
+        out = {}
+        for e, c in self.terms.items():
+            key = tuple(sum(x for n, x in zip(names, e) if n == v)
+                        for v in variables)
+            out[key] = out[key] + c if key in out else c
+        return MPoly.make(variables, out)
+
     def evaluate(self, values: dict) -> Coefficient:
         """Evaluate at a full point given as {var: Coefficient-like}."""
         total = Coefficient.zero()

@@ -17,7 +17,7 @@ from commend.errors import (BothZero, NotASquare, NotDivisible, ParseError,
 from commend.field import (Coefficient, _dense_sub, _left_inverse,
                            _pseudo_divmod, _solve_linear, _trim,
                            cyclotomic_coeffs, dense_divmod, dense_inverse_mod,
-                           dense_mul, divisors, euler_phi, first_relation,
+                           dense_mul, dense_shift, divisors, euler_phi, first_relation,
                            kth_roots, roots_of_unity)
 from commend.mpoly import (MPoly, _dense_derivative, _var_rank,
                            binary_form_resultant,
@@ -39,9 +39,10 @@ W = Coefficient.root_of_unity(3)
 
 @st.composite
 def field_elements(draw, order):
-    """An element of Q (order 1) or Q(zeta_3) (order 3)."""
+    """An element of Q (order 1), or a + b*zeta of Q(zeta_order)."""
     c = Coefficient.rational(draw(small))
-    return c + W * draw(small) if order == 3 else c
+    return c + Coefficient.root_of_unity(order) * draw(small) \
+        if order > 1 else c
 
 
 @st.composite
@@ -1285,3 +1286,32 @@ class TestParseRender:
                     c0 + Coefficient.rational(c1) * Coefficient.root_of_unity(n, j))
                 for k, (c0, c1, j) in enumerate(terms))
         assert parse_poly(render_poly(p, n), n) == p
+
+
+# renames of the variables of a polynomial in x, y and z1: a merge, a swap,
+# three names onto one, a rename onto a name not in use, a rename of an
+# absent variable, and none
+RENAMES = [{"x": "y"}, {"x": "y", "y": "x"}, {"x": "z1", "y": "z2"},
+           {"y": "x", "z1": "x"}, {"x": "t"}, {"q": "x"}, {}]
+
+
+class TestRelabelling:
+    @given(st.sampled_from([1, 3, 4]), st.sampled_from(RENAMES), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rename_matches_substitution(self, order, mapping, data):
+        p = data.draw(poly_in(order, "x", ["y", "z1"]))
+        bare = {v: MPoly.var(w) for v, w in mapping.items()}
+        assert p.rename(mapping) == p.substitute(bare)
+
+    def test_merge_can_cancel(self):
+        assert (X - Y).rename({"x": "y"}).is_zero()
+        assert (X * Y).rename({"y": "x"}) == X**2
+
+    @given(st.sampled_from([1, 3, 4]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_taylor_shift_matches_substitution(self, order, data):
+        a = data.draw(univariate(order, max_degree=6))
+        t = data.draw(field_elements(order))
+        shifted = a.substitute({"x": X + MPoly.constant(t)})
+        got = dense_shift(a.dense_in("x"), t)
+        assert _trim(got) == _trim(shifted.dense_in("x"))

@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from commend.errors import (NotCommuting, PreconditionViolated,
                             ScalarNotSolvable)
 from commend.families import (FamilyTag, chebyshev, ex1, ex2, ex3_lift,
                               ex4_descend)
-from commend.field import _solve_linear
+from commend.field import _solve_linear, roots_of_unity
 from commend.mpoly import MPoly, session_order
 from commend.parse import parse_map_pair
 from commend.rat1 import RatMap1
@@ -265,7 +266,37 @@ class TestTopListsAgainstForms:
         assert classify._descent_poly(endo("(z1^2 + z2^2, z2^2)")) is None
 
 
+class TestMonomialConjugate:
+    @given(st.sampled_from([1, 3, 4]),
+           st.sampled_from([AffineConj.diagonal, AffineConj.antidiagonal]),
+           scales, scales, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_affine_conjugate(self, order, kind, p, q, data):
+        # (anti)diagonal L with entries rationals times roots of unity
+        units = st.sampled_from(roots_of_unity(order))
+        s = kind(p * data.draw(units), q * data.draw(units))
+        f = data.draw(plane_maps(order))
+        assert classify._monomial_conjugate(f, s) == affine_conjugate(f, s)
+
+
 class TestRecognize:
+    def test_ex1_grid_pair_composes_once(self, monkeypatch):
+        # the Ex1 normal forms are built unchecked: the one composition is
+        # recognize's precondition, wherever commutes is imported
+        calls = []
+
+        def counting(f, g):
+            calls.append((f, g))
+            return commutes(f, g)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("commend") and \
+                    getattr(module, "commutes", None) is commutes:
+                monkeypatch.setattr(module, "commutes", counting)
+        v = recognize(*map(endo, GRID_PAIRS[2]))
+        assert v.tag == "Ex1"
+        assert len(calls) == 1
+
     def test_ex4_flagship(self):
         v = recognize(DESC2, DESC3)
         assert v.tag == "Ex4"
@@ -467,7 +498,28 @@ GRID_DRAWS = (st.sampled_from([(2, 3), (3, 2), (2, 2), (3, 3)]),
                                 st.sampled_from([2, 3])), max_size=1))
 
 
+def oracle_grid_endo(d, params):
+    """`_grid_endo` before it read numbers into its terms: products and
+    powers of MPolys."""
+    if d == 2:
+        a, b, c, e = map(MPoly.coerce, params)
+        return Z1**2 + Z2 * a + b, Z2**2 + Z1 * c + e
+    a, b, dd = map(MPoly.coerce, params)
+    return Z1**3 + Z1 * Z2 * a + Z1 * b, Z2**3 + Z2 * dd
+
+
 class TestSearch:
+    @given(st.sampled_from([2, 3]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_grid_maps_match_products(self, d, data):
+        numbers = st.integers(-12, 12) | st.builds(
+            Fraction, st.integers(-12, 12), st.sampled_from([2, 3]))
+        params = data.draw(st.lists(numbers, min_size=classify._GRID_PARAMS[d],
+                                    max_size=classify._GRID_PARAMS[d]))
+        assert classify._grid_endo(d, params) == oracle_grid_endo(d, params)
+        names = [MPoly.var(f"u{k}") for k in range(len(params))]
+        assert classify._grid_endo(d, names) == oracle_grid_endo(d, names)
+
     @pytest.mark.parametrize("degrees,coeffs", [
         ((2, 3), [0, 2, 3]), ((3, 2), [0, 2, 3]),
         ((2, 2), [-1, 0, 1]), ((3, 3), [-1, 0, 1])],

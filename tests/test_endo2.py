@@ -23,6 +23,7 @@ from commend.mpoly import (MPoly, from_dense, rational_roots, resultant,
                            squarefree_decompose, squarefree_part)
 from commend.parse import parse_map_pair, parse_poly
 from commend.rat1 import RatMap1
+from test_algebra import field_elements
 
 
 def endo(text):
@@ -69,6 +70,25 @@ class TestComposition:
                     else:
                         assert iterate(f, n, degree_cap=cap).degree \
                             == f.degree**n
+
+    @given(st.sampled_from([1, 3, 4]), st.integers(0, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_affine_iterate_matches_composition(self, order, n, data):
+        # a degree-one map iterates by repeated squaring
+        a, b, t1, c, d, t2 = (data.draw(field_elements(order))
+                              for _ in range(6))
+        z1, z2 = MPoly.var("z1"), MPoly.var("z2")
+        comps = (z1.scale(a) + z2.scale(b) + MPoly.constant(t1),
+                 z1.scale(c) + z2.scale(d) + MPoly.constant(t2))
+        assume(all(comps))
+        f = PlaneEndo(*comps)
+        want = PlaneEndo.identity()
+        for _ in range(n):
+            try:
+                want = compose(f, want)
+            except ValueError:  # an iterate with a zero component
+                assume(False)
+        assert iterate(f, n, degree_cap=1) == want
 
     @given(small, small, small, small)
     @settings(max_examples=25, deadline=None)

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from commend.endo2 import PlaneEndo, commutes, compose
 from commend.errors import (NotCommuting, NotSplit, NotSymmetric,
                             PreconditionViolated, ScalarNotSolvable)
-from commend.families import (EllipticCurveData, chebyshev, elliptic_lattes,
-                              ex1, ex2, ex3_lift, ex4_descend, sym_reduce,
-                              symmetrization, two_torsion_orbifold)
-from commend.field import Coefficient, kth_roots
+from commend.families import (EllipticCurveData, chebyshev,
+                              chebyshev_conjugacies, depression_shift,
+                              elliptic_lattes, ex1, ex2, ex3_lift, ex4_descend,
+                              sym_reduce, symmetrization, two_torsion_orbifold)
+from commend.field import Coefficient, kth_roots, roots_of_unity
 from commend.mpoly import MPoly, gcd_poly
 from commend.parse import parse_poly
 from commend.rat1 import RatMap1, classify_infinity, commutes1, compose1
@@ -67,6 +68,59 @@ class TestEx1:
     def test_rejects_zero(self):
         with pytest.raises(PreconditionViolated):
             ex1(2, 3, 0)
+
+
+def oracle_chebyshev_conjugacies(p, order):
+    """`chebyshev_conjugacies` before it ran on coefficient lists: each
+    p(beta*y + theta) by substitution, compared as polynomials."""
+    d = p.degree_in("y")
+    if d < 2:
+        return []
+    theta = depression_shift(p)
+    target = chebyshev(d, "classical").substitute({"x": Y})
+    out = []
+    for sign in (1, -1):
+        scale = target.leading_coefficient() * Coefficient.rational(sign)
+        for beta in kth_roots(scale / p.leading_coefficient(), d - 1, order):
+            if beta.is_zero():
+                continue
+            lhs = p.substitute({"y": Y.scale(beta) + MPoly.constant(theta)})
+            rhs = target.scale(beta * Coefficient.rational(sign)) \
+                + MPoly.constant(theta)
+            if lhs == rhs:
+                out.append((beta, theta, sign))
+    return out
+
+
+class TestChebyshevConjugacies:
+    @given(st.sampled_from([1, 3, 4]), st.integers(2, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lists_match_substitution(self, order, d, data):
+        # p = beta*sign*T_d((y - theta)/beta) + theta, conjugate to +-T_d,
+        # or the same with one coefficient moved, which mostly is not; the
+        # scales found are rationals times roots of unity (`kth_roots`)
+        nonzero = field_elements(order).filter(lambda c: not c.is_zero())
+        found = data.draw(st.booleans())
+        rational = field_elements(1).filter(lambda c: not c.is_zero())
+        beta = data.draw(rational if found else nonzero) * data.draw(
+            st.sampled_from(roots_of_unity(order)))
+        theta = data.draw(field_elements(order))
+        sign = data.draw(st.sampled_from([1, -1]))
+        inner = (Y - MPoly.constant(theta)).scale(beta.inverse())
+        p = chebyshev(d, "classical").substitute({"x": inner}).scale(
+            beta * Coefficient.rational(sign)) + MPoly.constant(theta)
+        moved = data.draw(st.booleans())
+        if moved:
+            k = data.draw(st.integers(0, d - 1))
+            p = p + MPoly.var("y", k).scale(data.draw(nonzero))
+        got = chebyshev_conjugacies(p, order)
+        assert got == oracle_chebyshev_conjugacies(p, order)
+        if found and not moved:
+            assert (beta, theta, sign) in got
+
+    def test_not_in_y_alone(self):
+        assert chebyshev_conjugacies(parse_poly("2*y^2 - 1 + x"), 1) == []
+        assert chebyshev_conjugacies(parse_poly("y + 1"), 1) == []
 
 
 class TestEx2:

@@ -6,9 +6,9 @@ larger search grids, the Lattes maps of the division-polynomial builder,
 two non-square ramified invariances, a critical orbit whose critical part
 splits into two lines, a Lattes self-cover whose marked points leave Q, a
 ramified invariance over Q(i), option values that begin with '-', an
-iterate count far past the degree cap, two bare polynomials that are not
-polynomial maps and the scalar lifts of `construct --family ex3`, run
-in-process through `cli.main`.
+iterate count far past the degree cap, iterates of affine maps, two bare
+polynomials that are not polynomial maps and the scalar lifts of
+`construct --family ex3`, run in-process through `cli.main`.
 
 `tests/data/reports.txt` holds, for each command, a `$ commend ...` line and
 the exact stdout bytes of the report.  Regenerate it (only when a report is
@@ -305,8 +305,13 @@ SESSION_AND_ARGV_COMMANDS = [
 ]
 
 
-# an iterate count far past the degree cap, which ends at once with exit 3
-ITERATE_COMMANDS = [["iterate", "--f", "(z1^3, z2^3)", "--n", "1000000000"]]
+# an iterate count far past the degree cap, which ends at once with exit 3;
+# 10^8 iterates of two affine maps, by matrix powers: a translation, whose
+# entries stay small, and a scaling, whose entries pass the bit budget at
+# once (exit 3)
+ITERATE_COMMANDS = [["iterate", "--f", "(z1^3, z2^3)", "--n", "1000000000"],
+                    ["iterate", "--f", "(z1 + 1, z2)", "--n", "100000000"],
+                    ["iterate", "--f", "(2*z1, z2)", "--n", "100000000"]]
 
 # bare polynomial maps that are not one: the zero polynomial, and one in two
 # variables, which must not be read as a polynomial in one
