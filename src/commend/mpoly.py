@@ -9,7 +9,7 @@ first, then the exponent tuple lexicographically in variable order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import BothZero, NotASquare, NotDivisible
 from .field import (Coefficient, _dense_sub, _domain, _pseudo_divmod, _scale,
@@ -678,12 +678,14 @@ def rational_roots(p: MPoly) -> list[Fraction]:
 
 
 def dense_rational_roots(a: list) -> list[Fraction]:
-    """The rational roots, ascending, of a list of Fractions or Coefficients;
-    [] when a coefficient leaves Q.
+    """The rational roots, ascending, of a list of ints, Fractions or
+    Coefficients; [] when a coefficient leaves Q.
 
     The candidates are +-p/q with p dividing the lowest nonzero and q the
-    leading coefficient of the integer multiple; each reduced a/b is tested
-    by one integer Horner pass, sum c_k a^k b^(n-k) == 0.
+    leading coefficient of the integer multiple, walked as coprime pairs
+    (p, q), so each is a reduced fraction met once; each is tested by one
+    integer Horner pass, sum c_k p^k q^(n-k) == 0, and only a root becomes
+    a Fraction.
     """
     a = _trim(a)
     if len(a) < 2:
@@ -708,15 +710,10 @@ def dense_rational_roots(a: list) -> list[Fraction]:
             acc = acc * num + c * scale
         return acc == 0
 
-    seen = set(roots)
     for p_ in divisors(a0):
         for q_ in divisors(an):
-            for cand in (Fraction(p_, q_), Fraction(-p_, q_)):
-                if cand in seen:
-                    continue
-                if is_root(cand.numerator, cand.denominator):
-                    seen.add(cand)
-                    roots.append(cand)
+            if gcd(p_, q_) == 1:
+                roots += [Fraction(n, q_) for n in (p_, -p_) if is_root(n, q_)]
     return sorted(roots)
 
 

@@ -8,24 +8,28 @@ and go into sets.
 A map of degree d is [formS : formT], and it stores d and the coefficient
 lists S = formS(1, t) and T = formT(1, t), the entry of index k that of
 s^(d-k) t^k.  The two lists hold Fractions when every entry is rational,
-else Coefficients (`_uniform`), and each list of a fiber holds one of the
-two types, so the kernel never meets a bare int (1 / int is a float).
+else Coefficients (`_uniform`).  A map over Q also stores the primitive
+integer pair (Sz, Tz) with [Sz : Tz] = [S : T] (one `_clear` of S + T):
+a map of P^1 is defined only up to a common scale of its forms, so images
+of rational points, fibers over them and the critical points are computed
+on ints, and S and T keep the scale that printing and the Ex3 lift read.
+Each residual factor handed back is a monic list of Fractions or of
+Coefficients, so no bare int reaches a 1 / x (1 / int is a float).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import inf
 
 from .errors import (BadPointCount, InfinityWeightViolation, NoCaseMatch,
                      PreconditionViolated)
-from .field import (Coefficient, _dense_sub, _scale, _trim, dense_divmod,
-                    dense_inverse_mod, dense_mul, first_relation)
-from .mpoly import (MPoly, _dense_derivative, dense_eval, dense_gcd,
-                    dense_rational_roots, dense_squarefree, forms_share_zero,
-                    kernel_lists)
+from .field import (Coefficient, _clear, _dense_sub, _domain, _scale, _trim,
+                    dense_divmod, dense_inverse_mod, dense_mul, first_relation)
+from .mpoly import (MPoly, _dense_derivative, _yun, dense_eval, dense_gcd,
+                    dense_rational_roots, forms_share_zero, kernel_lists)
 
 # ---------------------------------------------------------------------------
 # Projective points
@@ -34,6 +38,8 @@ from .mpoly import (MPoly, _dense_derivative, dense_eval, dense_gcd,
 
 def normalize_point(a, b):
     a, b = Coefficient.coerce(a), Coefficient.coerce(b)
+    if a.is_one():
+        return a, b
     if a.is_zero():
         if b.is_zero():
             raise ValueError("[0:0] is not a point")
@@ -46,6 +52,26 @@ def affine_point(x):
 
 
 POINT_INF = (Coefficient.zero(), Coefficient.one())
+
+
+def _int_point(r, point):
+    """(q, p) with the normalised point equal to [q:p] in lowest terms, for
+    a map r over Q and a rational point: (0, 1) at infinity, the denominator
+    and numerator of x at [1:x]; else None."""
+    s, x = point
+    if r.Sz is None or x.order != 1:
+        return None
+    return (x.res[0].denominator, x.res[0].numerator) if s else (0, 1)
+
+
+def _at(a: list, q: int, p: int, d: int) -> int:
+    """The degree-d form with int list a at [q:p], sum a[k] p^k q^(d-k), by
+    one Horner pass in p over the powers of q."""
+    acc, scale = 0, q ** (d + 1 - len(a))
+    for c in reversed(a):
+        acc = acc * p + c * scale
+        scale *= q
+    return acc
 
 
 def _form_from_dense(a: list, d: int, names=("s", "t")) -> MPoly:
@@ -64,8 +90,9 @@ def _uniform(*lists):
 
 
 class RatMap1:
-    """The self-map [s:t] -> [formS : formT] of P^1, stored as its degree d
-    and the lists S and T of the forms at s = 1.
+    """The self-map [s:t] -> [formS : formT] of P^1, stored as its degree d,
+    the lists S and T of the forms at s = 1 and, over Q, the primitive int
+    lists Sz and Tz with [Sz : Tz] = [S : T] (None over Q(zeta_n)).
 
     The forms share no zero in P^1 (`forms_share_zero` on S and T), so d is
     the degree of the map and at least one list has degree d.  `formS` and
@@ -74,7 +101,7 @@ class RatMap1:
     `__init__`, which reads the lists off them.
     """
 
-    __slots__ = ("degree", "S", "T")
+    __slots__ = ("degree", "S", "T", "Sz", "Tz")
 
     def __init__(self, formS, formT):
         formS, formT = MPoly.coerce(formS), MPoly.coerce(formT)
@@ -100,7 +127,12 @@ class RatMap1:
         S, T = map(_trim, _uniform(S, T))
         if forms_share_zero(S, T, d, d):
             raise ValueError("degenerate map: forms share a projective zero")
-        for name, value in (("degree", d), ("S", S), ("T", T)):
+        Sz = Tz = None
+        if type(S[-1]) is Fraction:
+            Z = _clear(S + T)[1]
+            Sz, Tz = Z[:len(S)], Z[len(S):]
+        for name, value in (("degree", d), ("S", S), ("T", T), ("Sz", Sz),
+                            ("Tz", Tz)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
@@ -128,16 +160,22 @@ class RatMap1:
         return RatMap1.from_lists(p.total_degree(), [1], p.dense_in("x"))
 
     def apply(self, point):
-        """The image of `point`, normalised: S and T evaluated at x by
-        Horner's rule at [1:x], in Fractions when x is rational and the
-        lists are; their entries of index d at [0:1]."""
-        s, x = normalize_point(*point)
+        """The image of `point`, normalised.  Over Q at a rational point
+        [q:p], the ints Sz and Tz at [q:p] (`_at`) and one Fraction; else
+        S and T evaluated at x by Horner's rule at [1:x], their entries of
+        index d at [0:1]."""
+        point = normalize_point(*point)
+        qp = _int_point(self, point)
+        if qp:
+            a, b = (_at(c, *qp, self.degree) for c in (self.Sz, self.Tz))
+            if not a:
+                return POINT_INF
+            return Coefficient.one(), Coefficient._rational(Fraction(b, a))
+        s, x = point
         if not s:
             d = self.degree
             return normalize_point(*(a[d] if len(a) > d else 0
                                      for a in (self.S, self.T)))
-        if x.order == 1:
-            x = x.res[0]
         return normalize_point(dense_eval(self.S, x), dense_eval(self.T, x))
 
     def __eq__(self, other):
@@ -163,10 +201,6 @@ def compose1(r1: RatMap1, r2: RatMap1) -> RatMap1:
     return RatMap1(r1.formS.substitute(bind), r1.formT.substitute(bind))
 
 
-def commutes1(r1: RatMap1, r2: RatMap1) -> bool:
-    return compose1(r1, r2) == compose1(r2, r1)
-
-
 @dataclass(frozen=True)
 class PullbackDivisor:
     """Fiber of a point: split points plus unsplit residual factors.
@@ -174,7 +208,9 @@ class PullbackDivisor:
     The split points are the rational zeros found per squarefree factor of
     the fiber's list, with infinity from the drop in its degree (see
     `_form_split`), and in `_marked_fibers` the marked points.  A residual
-    factor is a monic squarefree list in t, its zeros the points [1:t].
+    factor is a monic squarefree list in t, its zeros the points [1:t]:
+    Fractions over Q, even when the fiber was split on ints, and
+    Coefficients over Q(zeta_n).
     """
 
     marked_points: tuple  # of ((a, b), multiplicity)
@@ -190,33 +226,42 @@ class PullbackDivisor:
 
 
 def _form_split(a: list, d: int):
-    """The zeros of the degree-d binary form whose list at s = 1 is the
-    nonzero a, split by multiplicity.
+    """The zeros of the degree-d binary form whose trimmed list at s = 1 is
+    the nonzero a, split by multiplicity.
 
     Returns ([(point, mult)], [(residual list, mult)]): infinity first, of
     multiplicity d - deg a, then the rational points in ascending order,
     and per multiplicity one monic squarefree list carrying the zeros left
-    unsplit.  `dense_squarefree` splits a by multiplicity,
-    `dense_rational_roots` finds each factor's rational zeros and synthetic
-    division strips them; over Q all of it runs in Fractions.
+    unsplit.  One loop serves both fields: `_yun` splits `_domain`'s normal
+    form of a (a primitive int list over Q, a monic list over Q(zeta_n)) by
+    multiplicity, `dense_rational_roots` finds each factor's rational
+    zeros, exact division by each zero's normal form (q x - p over Q)
+    strips them, and `leave` makes each residual factor monic.
     """
     k = d - (len(a) - 1)
     points = [(POINT_INF, k)] if k else []
+    enter, normal, leave = _domain(a)
     affine, residual = [], []
-    for f, m in dense_squarefree(a)[1]:
+    for f, m in _yun(enter(a)[1], normal):
         roots = dense_rational_roots(f)
         for x0 in roots:
-            f = dense_divmod(f, [-x0, Fraction(1)])[0]
+            f = dense_divmod(f, enter([-x0, Fraction(1)])[1])[0]
         affine += [(x0, m) for x0 in roots]
         if len(f) > 1:
-            residual.append((f, m))
+            residual.append((leave(f), m))
     return points + [(affine_point(x0), m) for x0, m in sorted(affine)], residual
 
 
 def pullback_divisor(r: RatMap1, point) -> PullbackDivisor:
-    """The fiber of `point` [a:b]: the zeros of b*S - a*T, by `_form_split`."""
-    (a, b), S, T = _uniform(normalize_point(*point), r.S, r.T)
-    points, residual = _form_split(_dense_sub(_scale(S, b), _scale(T, a)),
+    """The fiber of `point` [q:p]: the zeros of p*S - q*T, by `_form_split`,
+    on the int pair p*Sz - q*Tz over Q at a rational point (`_int_point`)."""
+    point = normalize_point(*point)
+    qp = _int_point(r, point)
+    if qp:
+        (q, p), S, T = qp, r.Sz, r.Tz
+    else:
+        (q, p), S, T = _uniform(point, r.S, r.T)
+    points, residual = _form_split(_dense_sub(_scale(S, p), _scale(T, q)),
                                    r.degree)
     return PullbackDivisor(tuple(points), tuple(residual))
 
@@ -232,18 +277,20 @@ class Orbifold1:
     and `weight_of` and `index_of` take normalised points."""
 
     marked: tuple  # of ((a, b), weight) with weight int >= 2 or math.inf
+    _weights: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         marked = tuple((normalize_point(*p), w) for p, w in self.marked)
         object.__setattr__(self, "marked", marked)
-        if len({p for p, _w in marked}) != len(marked):
+        object.__setattr__(self, "_weights", dict(marked))
+        if len(self._weights) != len(marked):
             raise ValueError("marked points must be pairwise distinct")
         for _p, w in marked:
             if w != inf and (not isinstance(w, int) or w < 2):
                 raise ValueError("weights must be integers >= 2 or infinity")
 
     def weight_of(self, point):
-        return dict(self.marked).get(point, 1)
+        return self._weights.get(point, 1)
 
     def index_of(self, point):
         return next((i for i, (p, _w) in enumerate(self.marked)
@@ -441,8 +488,8 @@ def _critical_points_rational(r: RatMap1):
 
     The Wronskian is formS_s formT_t - formS_t formT_s.  By Euler's identity
     s F_s + t F_t = d F, its chart at s = 1 is d (S T' - S' T), whose zeros
-    are those of S T' - S' T."""
-    S, T = r.S, r.T
+    are those of S T' - S' T, here on the int pair over Q."""
+    S, T = (r.S, r.T) if r.Sz is None else (r.Sz, r.Tz)
     return _form_split(_dense_sub(dense_mul(S, _dense_derivative(T)),
                                   dense_mul(_dense_derivative(S), T)),
                        2 * r.degree - 2)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -746,6 +747,42 @@ class TestResultant:
         assert gcd_poly(a * g, b * g) == g.monic()
 
 
+def oracle_rational_roots(a):
+    """`dense_rational_roots` by its former candidate loop: every +-p/q as
+    a Fraction, skipped when already seen, tested on its reduced form."""
+    a = _trim(a)
+    if len(a) < 2:
+        return []
+    if isinstance(a[-1], Coefficient):
+        if any(c.order != 1 for c in a):
+            return []
+        a = [c.res[0] for c in a]
+    den = lcm(*(v.denominator for v in a))
+    ints = [int(v * den) for v in a]
+    roots = []
+    low = next(i for i, c in enumerate(ints) if c)
+    if low > 0:
+        roots.append(Fraction(0))
+    ints = ints[low:]
+
+    def is_root(num, den):
+        acc, scale = ints[-1], 1
+        for c in reversed(ints[:-1]):
+            scale *= den
+            acc = acc * num + c * scale
+        return acc == 0
+
+    seen = set(roots)
+    for p_ in divisors(abs(ints[0])):
+        for q_ in divisors(abs(ints[-1])):
+            for cand in (Fraction(p_, q_), Fraction(-p_, q_)):
+                if cand not in seen and is_root(cand.numerator,
+                                                cand.denominator):
+                    seen.add(cand)
+                    roots.append(cand)
+    return sorted(roots)
+
+
 class TestDenseKernel:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -815,6 +852,38 @@ class TestDenseKernel:
         (a,) = kernel_lists(p.dense_in("x"))
         assert dense_rational_roots(a) == sorted(set(roots))
         assert dense_rational_roots(p.dense_in("x")) == sorted(set(roots))
+
+    @given(st.lists(st.tuples(st.integers(-7, 7), st.integers(1, 6),
+                              st.integers(1, 3)), max_size=4),
+           st.integers(0, 3),
+           st.sampled_from(["x^2 + 1", "x^2 - 2", "3*x^3 - 5*x + 1",
+                            "6*x^2 - 5", "1"]),
+           st.fractions(min_value=-7, max_value=7, max_denominator=5)
+           .filter(bool),
+           st.sampled_from(["int", "Fraction", "Coefficient"]))
+    @settings(max_examples=80, deadline=None)
+    def test_coprime_pairs_match_the_candidate_loop(self, planted, zeros,
+                                                    cofactor, scale, kind):
+        # planted roots n/q (q up to 6, 0 of multiplicity `zeros`) times an
+        # irreducible cofactor, scaled by a rational of either sign
+        a = [Fraction(c) for c in kernel_lists(
+            parse_poly(cofactor).dense_in("x"))[0]] if cofactor != "1" \
+            else [Fraction(1)]
+        for n, q, m in planted:
+            for _ in range(m):
+                a = dense_mul(a, [Fraction(-n, q), Fraction(1)])
+        a = [Fraction(0)] * zeros + [v * scale for v in a]
+        if kind == "int":
+            den = lcm(*(v.denominator for v in a))
+            a = [int(v * den) for v in a]
+        elif kind == "Coefficient":
+            a = [Coefficient.rational(v) for v in a]
+        want = sorted({Fraction(n, q) for n, q, _m in planted}
+                      | ({Fraction(0)} if zeros else set()))
+        if len(a) < 2:
+            want = []
+        assert dense_rational_roots(a) == oracle_rational_roots(a) == want
+        assert all(type(x) is Fraction for x in dense_rational_roots(a))
 
     def test_residual_keeps_exact_rationals(self):
         # an int divisor [-x0, 1] would divide 1 / 1 = 1.0 and leave float

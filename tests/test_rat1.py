@@ -10,15 +10,18 @@ from hypothesis import strategies as st
 from commend import rat1
 from commend.errors import NoCaseMatch, PreconditionViolated
 from commend.families import chebyshev, elliptic_lattes, EllipticCurveData
-from commend.field import Coefficient
-from commend.mpoly import (MPoly, from_dense, gcd_poly, kernel_lists,
-                           rational_roots, resultant, squarefree_decompose,
-                           squarefree_part)
+from commend.field import (Coefficient, _dense_sub, _scale, dense_divmod,
+                           dense_mul)
+from commend.mpoly import (MPoly, _dense_derivative, dense_eval,
+                           dense_squarefree, from_dense, gcd_poly,
+                           kernel_lists, rational_roots, resultant,
+                           squarefree_decompose, squarefree_part)
 from commend.parse import parse_map_pair, parse_poly
 from commend.rat1 import (POINT_INF, Orbifold1, RatMap1, affine_point,
-                          classify_infinity, commutes1, compose1,
+                          classify_infinity, compose1,
                           is_orbifold_selfcover, parabolic_check,
                           portrait, pullback_divisor, standard_orbifolds)
+from test_algebra import oracle_rational_roots
 from test_reports import portrait_maps
 
 
@@ -48,8 +51,8 @@ class TestRatMap1:
     def test_compose_chebyshev_semigroup(self):
         assert compose1(TCHEB2, TCHEB3) == compose1(TCHEB3, TCHEB2)
         assert compose1(TCHEB2, TCHEB3) == poly_map("x^6 - 6*x^4 + 9*x^2 - 2")
-        assert commutes1(TCHEB2, TCHEB3)
-        assert not commutes1(TCHEB2, poly_map("x^3"))
+        cube = poly_map("x^3")
+        assert compose1(TCHEB2, cube) != compose1(cube, TCHEB2)
 
     def test_composite_forms_coprime(self):
         # nondegenerate maps compose to forms with no common zero
@@ -232,6 +235,121 @@ class TestListsAgainstForms:
         assert o.weight_of(affine_point(2)) == 2 and o.index_of(POINT_INF) == 1
         with pytest.raises(ValueError, match="pairwise distinct"):
             Orbifold1((((1, 2), 2), ((3, 6), 3)))
+
+
+# The Fraction-list paths that the primitive int pair (Sz, Tz) replaced,
+# kept as oracles
+
+def oracle_fraction_apply(r, point):
+    """S and T by Horner's rule at [1:x], their entries of index d at [0:1]."""
+    s, x = rat1.normalize_point(*point)
+    if not s:
+        d = r.degree
+        return rat1.normalize_point(*(a[d] if len(a) > d else 0
+                                      for a in (r.S, r.T)))
+    if x.order == 1:
+        x = x.res[0]
+    return rat1.normalize_point(dense_eval(r.S, x), dense_eval(r.T, x))
+
+
+def oracle_fraction_split(a, d):
+    """`_form_split` on monic Fraction factors: `dense_squarefree`, then
+    synthetic division by x - x0 for each rational zero x0."""
+    k = d - (len(a) - 1)
+    points = [(POINT_INF, k)] if k else []
+    affine, residual = [], []
+    for f, m in dense_squarefree(a)[1]:
+        roots = oracle_rational_roots(f)
+        for x0 in roots:
+            f = dense_divmod(f, [-x0, Fraction(1)])[0]
+        affine += [(x0, m) for x0 in roots]
+        if len(f) > 1:
+            residual.append((f, m))
+    return points + [(affine_point(x0), m) for x0, m in sorted(affine)], residual
+
+
+def oracle_fraction_pullback(r, point):
+    """The zeros of b*S - a*T at [a:b], both lists wrapped alike."""
+    (a, b), S_, T_ = rat1._uniform(rat1.normalize_point(*point), r.S, r.T)
+    return oracle_fraction_split(_dense_sub(_scale(S_, b), _scale(T_, a)),
+                                 r.degree)
+
+
+def oracle_fraction_critical_points(r):
+    """`oracle_fraction_split` of S T' - S' T on the Fraction lists."""
+    w = _dense_sub(dense_mul(r.S, _dense_derivative(r.T)),
+                   dense_mul(_dense_derivative(r.S), r.T))
+    return oracle_fraction_split(w, 2 * r.degree - 2)
+
+
+@st.composite
+def short_line_map_lists(draw):
+    """(d, S, T) of `line_map_lists(1)`, S or T cut below degree d (its top
+    entries zero) in some draws."""
+    d, S_, T_ = draw(line_map_lists(1))
+    cut = draw(st.sampled_from(["none", "S", "T"]))
+    if cut != "none":
+        n = draw(st.integers(1, d))
+        a = S_ if cut == "S" else T_
+        a[n:] = [0] * (d + 1 - n)
+        try:
+            RatMap1.from_lists(d, S_, T_)
+        except ValueError:
+            assume(False)
+    return d, S_, T_
+
+
+class TestIntegerPairAgainstFractionLists:
+    """Over Q, images, fibers and critical points on the primitive int pair
+    against the Fraction-list paths, and invariant under scaling both
+    forms by one nonzero rational."""
+
+    @given(short_line_map_lists(),
+           st.fractions(min_value=-5, max_value=5, max_denominator=4)
+           .filter(bool),
+           st.fractions(min_value=-4, max_value=4, max_denominator=6),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_pair_matches_the_fraction_path(self, drawn, c, x, data):
+        d, S_, T_ = drawn
+        r = RatMap1.from_lists(d, S_, T_)
+        scaled = RatMap1.from_lists(d, [v * c for v in S_],
+                                    [v * c for v in T_])
+        assert r.Sz is not None and all(type(v) is int
+                                        for v in r.Sz + r.Tz)
+        assert (r.Sz, r.Tz) == (scaled.Sz, scaled.Tz)
+        assert oracle_eq(r, RatMap1.from_lists(d, r.Sz, r.Tz))
+        q = data.draw(st.integers(2, 6))
+        points = [POINT_INF, affine_point(0), affine_point(x),
+                  affine_point(Fraction(-5, q)), (q, 3), (0, -2), (W3, 1)]
+        for p in points:
+            want = oracle_fraction_apply(r, p)
+            assert r.apply(p) == want and scaled.apply(p) == want
+            assert r.apply(p) == oracle_apply(r, p)
+            want = oracle_fraction_pullback(r, p)
+            for m in (r, scaled):
+                fiber = pullback_divisor(m, p)
+                assert (list(fiber.marked_points), list(fiber.residual)) \
+                    == want
+                assert all(one_entry_type(f) for f, _m in fiber.residual)
+        want = oracle_fraction_critical_points(r)
+        assert rat1._critical_points_rational(r) == want
+        assert rat1._critical_points_rational(scaled) == want
+        for f, _m in want[1]:
+            assert f[-1] == 1 and all(type(v) is Fraction for v in f)
+
+    def test_zero_form_is_degenerate(self):
+        for S_, T_ in (([], [1, 2]), ([Fraction(1, 2), 0], [0, 0])):
+            with pytest.raises(ValueError, match="degenerate"):
+                RatMap1.from_lists(1, S_, T_)
+
+    def test_maps_over_cyclotomic_fields_keep_coefficient_lists(self):
+        r = RatMap1.from_lists(2, [1, W3], [W3, 0, 1])
+        assert r.Sz is None and r.Tz is None
+        fiber = pullback_divisor(r, affine_point(2))
+        assert all(type(v) is Coefficient for f, _m in fiber.residual
+                   for v in f)
+        assert r.apply(affine_point(2)) == oracle_apply(r, affine_point(2))
 
 
 S, T = MPoly.var("s"), MPoly.var("t")
