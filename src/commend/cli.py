@@ -75,8 +75,7 @@ def _line_map(session: Session, text: str) -> rat1.RatMap1:
     if len(p.vars) > 1:
         raise ParseError("a bare polynomial map takes one variable, not "
                          f"{', '.join(p.vars)}", 0)
-    return rat1.RatMap1.from_polynomial(p.substitute(
-        {v: MPoly.var("x") for v in p.vars}))
+    return rat1.RatMap1.from_polynomial(p.rename({v: "x" for v in p.vars}))
 
 
 def _integer(text: str) -> int:

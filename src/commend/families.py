@@ -4,7 +4,8 @@ Covers coordinate-split Chebyshev/power pairs, scalar lifts of commuting
 line maps, the symmetric two-sheeted descent, and elliptic multiplication
 maps, built from the x-only division polynomials on the dense list kernel
 with no gcd (see `elliptic_lattes`).  The scalar lifts read the line maps'
-lists; only `compose1` reads their s, t views.
+lists S and T (unit times the canonical pair) and the ratio of two equal
+maps' units; only `compose1` reads their s, t views.
 """
 
 from __future__ import annotations
@@ -116,17 +117,15 @@ def _lift(r: RatMap1, lam) -> PlaneEndo:
 def ex3_lift(r1: RatMap1, r2: RatMap1, lam1=None, lam2=None):
     """Scalar lifts of a commuting pair of homogeneous line maps.
 
-    The composites a = r1 o r2 and b = r2 o r1 are equal maps, so
-    S_a T_b = T_a S_b.  The forms of each share no zero, so S_b divides S_a
-    and S_a divides S_b, and likewise for T: a's lists are c times b's, and
-    c is read off the first nonzero entry of b's lists, S then T.
+    The composites a = r1 o r2 and b = r2 o r1 are equal maps, so they have
+    one canonical pair (`RatMap1`), and a's lists are c times b's for the
+    ratio c of their units.
     """
     a, b = compose1(r1, r2), compose1(r2, r1)
     if a != b:
         raise NotCommuting("line maps do not commute")
     d1, d2 = r1.degree, r2.degree
-    top, base = next((x, y) for x, y in zip(a.S + a.T, b.S + b.T) if y)
-    c = Coefficient.coerce(top) / Coefficient.coerce(base)
+    c = Coefficient.coerce(a.unit) / b.unit
     if lam1 is not None or lam2 is not None:
         lam1 = Coefficient.coerce(1 if lam1 is None else lam1)
         lam2 = Coefficient.coerce(1 if lam2 is None else lam2)
@@ -167,14 +166,9 @@ def sym_reduce(s: MPoly) -> MPoly:
     rem = s
     while not rem.is_zero():
         # pick the term maximal in lex order with x > y; symmetry gives a >= b
-        ix = rem.vars.index("x") if "x" in rem.vars else None
-        iy = rem.vars.index("y") if "y" in rem.vars else None
-        best = max(rem.terms,
-                   key=lambda e: (e[ix] if ix is not None else 0,
-                                  e[iy] if iy is not None else 0))
-        a = best[ix] if ix is not None else 0
-        b = best[iy] if iy is not None else 0
-        c = rem.terms[best]
+        terms = rem._embed(("x", "y"))
+        a, b = max(terms)
+        c = terms[a, b]
         if a < b:
             raise AssertionError("symmetric remainder: lex-leading term has a < b")
         basis = (e1**(a - b) * e2**b).scale(c)

@@ -352,6 +352,17 @@ def _subfield_solver(order: int, m: int):
                           for i in range(euler_phi(order))])
 
 
+def _power(cache: dict, exp: int):
+    """cache[exp] = cache[1]^exp by squaring, memoised in cache, for any
+    element type with a product (Coefficients, MPolys).  A module function,
+    not a self-recursive closure: such a closure is a reference cycle that
+    keeps every cached power alive until the cyclic collector runs."""
+    if exp not in cache:
+        half = _power(cache, exp // 2)
+        cache[exp] = half * half * cache[1] if exp % 2 else half * half
+    return cache[exp]
+
+
 class Coefficient:
     """An exact element of Q(zeta_N), contracted to its minimal order."""
 
@@ -526,14 +537,7 @@ class Coefficient:
     def __pow__(self, exp: int):
         if exp < 0:
             return self.inverse() ** (-exp)
-        result = Coefficient.one()
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
-        return result
+        return _power({1: self}, exp) if exp else _ONE
 
     # -- comparison / hashing -----------------------------------------
     def __eq__(self, other):

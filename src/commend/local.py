@@ -205,15 +205,7 @@ def _to_xy(h: MPoly) -> MPoly:
 
 def _support_xy(h: MPoly):
     """[(k, l, coeff)] with k the x-exponent and l the y-exponent."""
-    h = _to_xy(h)
-    kx = h.vars.index("x") if "x" in h.vars else None
-    ky = h.vars.index("y") if "y" in h.vars else None
-    out = []
-    for e, c in h.terms.items():
-        k = e[kx] if kx is not None else 0
-        l = e[ky] if ky is not None else 0
-        out.append((k, l, c))
-    return out
+    return [(k, l, c) for (k, l), c in _to_xy(h)._embed(("x", "y")).items()]
 
 
 def d_alpha(h: MPoly, alpha) -> Fraction:

@@ -12,8 +12,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BothZero, NotASquare, NotDivisible
-from .field import (Coefficient, _dense_sub, _domain, _pseudo_divmod, _scale,
-                    _trim, dense_divmod, dense_mul, divisors, kth_roots)
+from .field import (Coefficient, _dense_sub, _domain, _power, _pseudo_divmod,
+                    _scale, _trim, dense_divmod, dense_mul, divisors,
+                    kth_roots)
 
 # Canonical precedence used to order variable tuples.
 VAR_ORDER = (
@@ -362,16 +363,6 @@ class MPoly:
     def __str__(self):
         from .render import render_poly
         return render_poly(self)
-
-
-def _power(cache: dict, exp: int) -> MPoly:
-    """cache[exp] = cache[1]^exp by squaring, memoised in cache.  A module
-    function, not a self-recursive closure: such a closure is a reference
-    cycle that keeps every cached power alive until the cyclic collector runs."""
-    if exp not in cache:
-        half = _power(cache, exp // 2)
-        cache[exp] = half * half * cache[1] if exp % 2 else half * half
-    return cache[exp]
 
 
 def session_order(*polys: MPoly) -> int:

@@ -5,14 +5,15 @@ and infinity to [0:1], so polynomial maps fix [0:1].  A point is kept in its
 normal form, [0:1] or [1:x] (`normalize_point`), so points compare by ==
 and go into sets.
 
-A map of degree d is [formS : formT], and it stores d and the coefficient
-lists S = formS(1, t) and T = formT(1, t), the entry of index k that of
-s^(d-k) t^k.  The two lists hold Fractions when every entry is rational,
-else Coefficients (`_uniform`).  A map over Q also stores the primitive
-integer pair (Sz, Tz) with [Sz : Tz] = [S : T] (one `_clear` of S + T):
-a map of P^1 is defined only up to a common scale of its forms, so images
-of rational points, fibers over them and the critical points are computed
-on ints, and S and T keep the scale that printing and the Ex3 lift read.
+A map of degree d is [formS : formT].  It is defined only up to a common
+scale of its two forms, so it stores d, that scale (`unit`) and one
+canonical pair P, Q: the lists of formS(1, t) and formT(1, t) divided by
+the unit, the entry of index k that of s^(d-k) t^k.  The pair is `_domain`'s
+entry of the ratios of S + T to its last entry: primitive ints with a
+positive last entry over Q, Coefficients with last entry 1 over Q(zeta_n).
+So equal maps have equal pairs, images of rational points, fibers over them
+and the critical points are computed on ints over Q, and S and T (unit
+times the pair) keep the scale that printing and the Ex3 lift read.
 Each residual factor handed back is a monic list of Fractions or of
 Coefficients, so no bare int reaches a 1 / x (1 / int is a float).
 """
@@ -26,7 +27,7 @@ from math import inf
 
 from .errors import (BadPointCount, InfinityWeightViolation, NoCaseMatch,
                      PreconditionViolated)
-from .field import (Coefficient, _clear, _dense_sub, _domain, _scale, _trim,
+from .field import (Coefficient, _dense_sub, _domain, _monic, _scale, _trim,
                     dense_divmod, dense_inverse_mod, dense_mul, first_relation)
 from .mpoly import (MPoly, _dense_derivative, _yun, dense_eval, dense_gcd,
                     dense_rational_roots, forms_share_zero, kernel_lists)
@@ -37,6 +38,8 @@ from .mpoly import (MPoly, _dense_derivative, _yun, dense_eval, dense_gcd,
 
 
 def normalize_point(a, b):
+    if type(a) is int and type(b) is int and a:
+        return Coefficient.one(), Coefficient._rational(Fraction(b, a))
     a, b = Coefficient.coerce(a), Coefficient.coerce(b)
     if a.is_one():
         return a, b
@@ -54,19 +57,18 @@ def affine_point(x):
 POINT_INF = (Coefficient.zero(), Coefficient.one())
 
 
-def _int_point(r, point):
-    """(q, p) with the normalised point equal to [q:p] in lowest terms, for
-    a map r over Q and a rational point: (0, 1) at infinity, the denominator
-    and numerator of x at [1:x]; else None."""
+def _coordinates(point):
+    """(q, p) with the normalised point equal to [q:p]: at a rational point
+    ints in lowest terms, (0, 1) at infinity; (1, x) at any other [1:x]."""
     s, x = point
-    if r.Sz is None or x.order != 1:
-        return None
+    if x.order != 1:
+        return 1, x
     return (x.res[0].denominator, x.res[0].numerator) if s else (0, 1)
 
 
-def _at(a: list, q: int, p: int, d: int) -> int:
-    """The degree-d form with int list a at [q:p], sum a[k] p^k q^(d-k), by
-    one Horner pass in p over the powers of q."""
+def _at(a: list, q, p, d: int):
+    """The degree-d form with list a at [q:p], sum a[k] p^k q^(d-k), by one
+    Horner pass in p over the powers of q."""
     acc, scale = 0, q ** (d + 1 - len(a))
     for c in reversed(a):
         acc = acc * p + c * scale
@@ -91,17 +93,18 @@ def _uniform(*lists):
 
 class RatMap1:
     """The self-map [s:t] -> [formS : formT] of P^1, stored as its degree d,
-    the lists S and T of the forms at s = 1 and, over Q, the primitive int
-    lists Sz and Tz with [Sz : Tz] = [S : T] (None over Q(zeta_n)).
+    a nonzero `unit` and the canonical pair P, Q with formS(1, t) and
+    formT(1, t) equal to unit * P and unit * Q (see the module docstring).
 
-    The forms share no zero in P^1 (`forms_share_zero` on S and T), so d is
-    the degree of the map and at least one list has degree d.  `formS` and
-    `formT` are views built from the lists, read only by `compose1`, which
-    substitutes them, and by printing; parsed forms enter through
+    The forms share no zero in P^1 (`forms_share_zero` on P and Q), so d is
+    the degree of the map and at least one list has degree d.  The lists S
+    and T and the forms `formS` and `formT` are views built from the unit
+    and the pair, read only by `compose1`, which substitutes the forms, by
+    `families._lift` and by printing; parsed forms enter through
     `__init__`, which reads the lists off them.
     """
 
-    __slots__ = ("degree", "S", "T", "Sz", "Tz")
+    __slots__ = ("degree", "unit", "P", "Q")
 
     def __init__(self, formS, formT):
         formS, formT = MPoly.coerce(formS), MPoly.coerce(formT)
@@ -125,18 +128,32 @@ class RatMap1:
 
     def _store(self, d, S, T):
         S, T = map(_trim, _uniform(S, T))
-        if forms_share_zero(S, T, d, d):
+        top, ratios = 1, S + T
+        if ratios and type(ratios[-1]) is Coefficient:
+            # the ratios to the last entry: a map over Q written with an
+            # irrational common scale lands on Q (`_clear` takes a rational
+            # scale out by itself)
+            top, ratios = _monic(ratios)
+            ratios = kernel_lists(ratios)[0]
+        c, pair = _domain(ratios)[0](ratios)
+        P, Q = pair[:len(S)], pair[len(S):]
+        if forms_share_zero(P, Q, d, d):
             raise ValueError("degenerate map: forms share a projective zero")
-        Sz = Tz = None
-        if type(S[-1]) is Fraction:
-            Z = _clear(S + T)[1]
-            Sz, Tz = Z[:len(S)], Z[len(S):]
-        for name, value in (("degree", d), ("S", S), ("T", T), ("Sz", Sz),
-                            ("Tz", Tz)):
+        unit = top * c
+        for name, value in (("degree", d), ("unit", unit), ("P", P),
+                            ("Q", Q)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
         raise AttributeError("RatMap1 is immutable")
+
+    @property
+    def S(self) -> list:
+        return [self.unit * x for x in self.P]
+
+    @property
+    def T(self) -> list:
+        return [self.unit * x for x in self.Q]
 
     @property
     def formS(self) -> MPoly:
@@ -160,36 +177,20 @@ class RatMap1:
         return RatMap1.from_lists(p.total_degree(), [1], p.dense_in("x"))
 
     def apply(self, point):
-        """The image of `point`, normalised.  Over Q at a rational point
-        [q:p], the ints Sz and Tz at [q:p] (`_at`) and one Fraction; else
-        S and T evaluated at x by Horner's rule at [1:x], their entries of
-        index d at [0:1]."""
-        point = normalize_point(*point)
-        qp = _int_point(self, point)
-        if qp:
-            a, b = (_at(c, *qp, self.degree) for c in (self.Sz, self.Tz))
-            if not a:
-                return POINT_INF
-            return Coefficient.one(), Coefficient._rational(Fraction(b, a))
-        s, x = point
-        if not s:
-            d = self.degree
-            return normalize_point(*(a[d] if len(a) > d else 0
-                                     for a in (self.S, self.T)))
-        return normalize_point(dense_eval(self.S, x), dense_eval(self.T, x))
+        """The image of `point`, normalised: P and Q at its coordinates
+        (`_coordinates`, `_at`), ints at a rational point of a map over Q."""
+        qp = _coordinates(normalize_point(*point))
+        return normalize_point(*(_at(a, *qp, self.degree)
+                                 for a in (self.P, self.Q)))
 
     def __eq__(self, other):
-        # two maps in lowest terms agree iff S1/T1 == S2/T2
+        # the pair is canonical, so equal maps have equal pairs
         if not isinstance(other, RatMap1):
             return NotImplemented
-        return dense_mul(self.S, other.T) == dense_mul(self.T, other.S)
+        return self.P == other.P and self.Q == other.Q
 
     def __hash__(self):
-        # the lists scaled to a top entry 1, as Coefficients so that a list
-        # of Fractions hashes like one of rational Coefficients
-        top = (self.S if len(self.S) > self.degree else self.T)[-1]
-        return hash(tuple(tuple(Coefficient.coerce(c / top) for c in a)
-                          for a in (self.S, self.T)))
+        return hash((tuple(self.P), tuple(self.Q)))
 
     def __repr__(self):
         return f"RatMap1([{self.formS} : {self.formT}])"
@@ -253,16 +254,13 @@ def _form_split(a: list, d: int):
 
 
 def pullback_divisor(r: RatMap1, point) -> PullbackDivisor:
-    """The fiber of `point` [q:p]: the zeros of p*S - q*T, by `_form_split`,
-    on the int pair p*Sz - q*Tz over Q at a rational point (`_int_point`)."""
-    point = normalize_point(*point)
-    qp = _int_point(r, point)
-    if qp:
-        (q, p), S, T = qp, r.Sz, r.Tz
-    else:
-        (q, p), S, T = _uniform(point, r.S, r.T)
-    points, residual = _form_split(_dense_sub(_scale(S, p), _scale(T, q)),
-                                   r.degree)
+    """The fiber of `point` [q:p] (`_coordinates`): the zeros of p*P - q*Q,
+    by `_form_split`, on ints at a rational point of a map over Q."""
+    q, p = _coordinates(normalize_point(*point))
+    a = _dense_sub(_scale(r.P, p), _scale(r.Q, q))
+    if any(isinstance(c, Coefficient) for c in a):
+        a = _uniform(a)[0]
+    points, residual = _form_split(a, r.degree)
     return PullbackDivisor(tuple(points), tuple(residual))
 
 
@@ -488,10 +486,10 @@ def _critical_points_rational(r: RatMap1):
 
     The Wronskian is formS_s formT_t - formS_t formT_s.  By Euler's identity
     s F_s + t F_t = d F, its chart at s = 1 is d (S T' - S' T), whose zeros
-    are those of S T' - S' T, here on the int pair over Q."""
-    S, T = (r.S, r.T) if r.Sz is None else (r.Sz, r.Tz)
-    return _form_split(_dense_sub(dense_mul(S, _dense_derivative(T)),
-                                  dense_mul(_dense_derivative(S), T)),
+    are those of S T' - S' T and of P Q' - P' Q, on ints over Q."""
+    P, Q = r.P, r.Q
+    return _form_split(_dense_sub(dense_mul(P, _dense_derivative(Q)),
+                                  dense_mul(_dense_derivative(P), Q)),
                        2 * r.degree - 2)
 
 
@@ -499,20 +497,20 @@ def _critical_values(r: RatMap1, rational, residual):
     """The set of critical values, or None when any leaves the session field,
     from the output of _critical_points_rational(r).
 
-    The roots of a residual factor f shared with den are poles and map to
-    infinity.  The other roots, those of f' = f / gcd(f, den), map to the
-    roots of the minimal polynomial of v = num/den in K[x]/(f'), K the
+    The roots of a residual factor f shared with P are poles and map to
+    infinity.  The other roots, those of f' = f / gcd(f, P), map to the
+    roots of the minimal polynomial of v = Q/P in K[x]/(f'), K the
     session field, each value once; they all lie in K iff `rational_roots`
     finds as many roots as its degree.
     """
     values = dict.fromkeys(r.apply(p) for p, _m in rational)  # ordered set
     for aff, _m in residual:
-        poles = dense_gcd(aff, r.S)
+        poles = dense_gcd(aff, r.P)
         if len(poles) > 1:
             values[POINT_INF] = None
             aff = dense_divmod(aff, poles)[0]
         if len(aff) > 1:
-            v = dense_divmod(dense_mul(r.T, dense_inverse_mod(r.S, aff)),
+            v = dense_divmod(dense_mul(r.Q, dense_inverse_mod(r.P, aff)),
                              aff)[1]
             mu = _minimal_polynomial(v, aff)
             roots = dense_rational_roots(mu)

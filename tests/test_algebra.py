@@ -323,6 +323,20 @@ class TestCyclotomicArithmetic:
             assert z**n == 1
             assert all(z**d != 1 for d in divisors(n) if d < n)
 
+    @given(st.sampled_from([1, 3, 4]), st.integers(-3, 8), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_coefficient_power_matches_repeated_products(self, n, e, data):
+        # squaring through `field._power`, against e products of x or 1/x
+        x = data.draw(cyclotomic_elements(n))
+        assume(e >= 0 or x)
+        base = x if e >= 0 else x.inverse()
+        want = Coefficient.one()
+        for _ in range(abs(e)):
+            want = want * base
+        assert x**e == want and hash(x**e) == hash(want)
+        if not x:
+            assert x**0 == 1
+
 
 class TestMPoly:
     def test_graded_ring_ops(self):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from commend import rat1
 from commend.errors import NoCaseMatch, PreconditionViolated
 from commend.families import chebyshev, elliptic_lattes, EllipticCurveData
-from commend.field import (Coefficient, _dense_sub, _scale, dense_divmod,
-                           dense_mul)
+from commend.field import (Coefficient, _clear, _dense_sub, _scale, _trim,
+                           dense_divmod, dense_mul)
 from commend.mpoly import (MPoly, _dense_derivative, dense_eval,
                            dense_squarefree, from_dense, gcd_poly,
                            kernel_lists, rational_roots, resultant,
@@ -128,14 +128,16 @@ def oracle_critical_points(r):
 
 
 W3 = Coefficient.root_of_unity(3)
+I4 = Coefficient.root_of_unity(4)
 
 
 def field_values(order):
-    """Elements of Q (order 1) or Q(zeta_3) (order 3)."""
+    """Elements a + b*zeta of Q(zeta_order), a and b rational."""
     q = st.fractions(min_value=-3, max_value=3, max_denominator=2)
     if order == 1:
         return q.map(Coefficient.rational)
-    return st.builds(lambda a, b: Coefficient.rational(a) + W3 * b, q, q)
+    zeta = Coefficient.root_of_unity(order)
+    return st.builds(lambda a, b: Coefficient.rational(a) + zeta * b, q, q)
 
 
 @st.composite
@@ -183,6 +185,7 @@ class TestListsAgainstForms:
         forms = RatMap1(_form(S, d), _form(T, d))
         assert r == forms and hash(r) == hash(forms) and oracle_eq(r, forms)
         assert (r.formS, r.formT) == (_form(S, d), _form(T, d))
+        assert (r.S, r.T) == (_trim(S), _trim(T))  # the views keep the scale
         assert r.degree == d and stored_like_kernel_lists(r)
         # a multiple by a scalar, inside or outside Q, is the same map
         c = data.draw(st.sampled_from([Fraction(-2, 3), W3, W3 + 1]))
@@ -237,8 +240,8 @@ class TestListsAgainstForms:
             Orbifold1((((1, 2), 2), ((3, 6), 3)))
 
 
-# The Fraction-list paths that the primitive int pair (Sz, Tz) replaced,
-# kept as oracles
+# The Fraction-list paths that the primitive int pair replaced, kept as
+# oracles
 
 def oracle_fraction_apply(r, point):
     """S and T by Horner's rule at [1:x], their entries of index d at [0:1]."""
@@ -301,7 +304,7 @@ def short_line_map_lists(draw):
 
 class TestIntegerPairAgainstFractionLists:
     """Over Q, images, fibers and critical points on the primitive int pair
-    against the Fraction-list paths, and invariant under scaling both
+    P, Q against the Fraction-list paths, and invariant under scaling both
     forms by one nonzero rational."""
 
     @given(short_line_map_lists(),
@@ -315,10 +318,9 @@ class TestIntegerPairAgainstFractionLists:
         r = RatMap1.from_lists(d, S_, T_)
         scaled = RatMap1.from_lists(d, [v * c for v in S_],
                                     [v * c for v in T_])
-        assert r.Sz is not None and all(type(v) is int
-                                        for v in r.Sz + r.Tz)
-        assert (r.Sz, r.Tz) == (scaled.Sz, scaled.Tz)
-        assert oracle_eq(r, RatMap1.from_lists(d, r.Sz, r.Tz))
+        assert all(type(v) is int for v in r.P + r.Q)
+        assert (r.P, r.Q) == (scaled.P, scaled.Q)
+        assert oracle_eq(r, RatMap1.from_lists(d, r.P, r.Q))
         q = data.draw(st.integers(2, 6))
         points = [POINT_INF, affine_point(0), affine_point(x),
                   affine_point(Fraction(-5, q)), (q, 3), (0, -2), (W3, 1)]
@@ -345,11 +347,96 @@ class TestIntegerPairAgainstFractionLists:
 
     def test_maps_over_cyclotomic_fields_keep_coefficient_lists(self):
         r = RatMap1.from_lists(2, [1, W3], [W3, 0, 1])
-        assert r.Sz is None and r.Tz is None
+        assert r.Q[-1] == 1 and all(type(v) is Coefficient
+                                    for v in r.P + r.Q)
         fiber = pullback_divisor(r, affine_point(2))
         assert all(type(v) is Coefficient for f, _m in fiber.residual
                    for v in f)
         assert r.apply(affine_point(2)) == oracle_apply(r, affine_point(2))
+
+
+# The two-path apply, the cross-multiplied equality and the Coefficient hash
+# that the canonical pair replaced, kept as oracles
+
+def oracle_two_path_apply(r, point):
+    """Over Q at a rational point [q:p], the primitive int lists of S + T
+    summed at [q:p] and one Fraction; else `oracle_fraction_apply`."""
+    s, x = rat1.normalize_point(*point)
+    if x.order != 1 or type((r.S + r.T)[-1]) is not Fraction:
+        return oracle_fraction_apply(r, point)
+    z = _clear(r.S + r.T)[1]
+    q, p = (x.res[0].denominator, x.res[0].numerator) if s else (0, 1)
+    a, b = (sum(c * p**k * q**(r.degree - k) for k, c in enumerate(f))
+            for f in (z[:len(r.S)], z[len(r.S):]))
+    if not a:
+        return POINT_INF
+    return affine_point(Fraction(b, a))
+
+
+def oracle_cross_eq(r1, r2):
+    """S1 T2 == T1 S2, both maps in lowest terms."""
+    return dense_mul(r1.S, r2.T) == dense_mul(r1.T, r2.S)
+
+
+def oracle_hash_key(r):
+    """The lists scaled to a top entry 1, as Coefficients."""
+    top = (r.S if len(r.S) > r.degree else r.T)[-1]
+    return tuple(tuple(Coefficient.coerce(c / top) for c in a)
+                 for a in (r.S, r.T))
+
+
+class TestCanonicalPair:
+    """The pair (P, Q) against the paths it replaced: over Q, Q(zeta_3) and
+    Q(zeta_4), and for maps over Q scaled by an irrational constant."""
+
+    @given(st.sampled_from([1, 3, 4]), st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equality_hash_and_images_match_the_oracles(self, order,
+                                                        scaled, data):
+        d, S_, T_ = data.draw(line_map_lists(order))
+        r1 = RatMap1.from_lists(d, S_, T_)
+        if scaled:
+            c = data.draw(field_values(order).filter(bool))
+            r2 = RatMap1.from_lists(d, [c * v for v in S_], [c * v for v in T_])
+        else:
+            r2 = RatMap1.from_lists(*data.draw(line_map_lists(order)))
+        assert r1 == r2 or not scaled
+        assert (r1 == r2) == oracle_cross_eq(r1, r2)
+        assert (r1 == r2) == (oracle_hash_key(r1) == oracle_hash_key(r2))
+        assert r1 != r2 or hash(r1) == hash(r2)
+        rational = type((r1.S + r1.T)[-1]) is Fraction
+        assert rational == all(type(v) is int for v in r1.P + r1.Q)
+        assert rational or ((r1.Q or r1.P)[-1] == 1 and all(
+            type(v) is Coefficient for v in r1.P + r1.Q))
+        points = [POINT_INF, affine_point(0), (3, 2), (W3, 1), (1, I4),
+                  affine_point(data.draw(field_values(order)))]
+        for p in points:
+            assert r1.apply(p) == oracle_two_path_apply(r1, p)
+
+    @given(short_line_map_lists(), st.sampled_from([W3, W3 + 1, -W3**2, I4]),
+           st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    @settings(max_examples=60, deadline=None)
+    def test_an_irrational_scale_keeps_the_int_pair(self, drawn, w, x):
+        d, S_, T_ = drawn
+        r = RatMap1.from_lists(d, S_, T_)
+        scaled = RatMap1.from_lists(d, [v * w for v in S_],
+                                    [v * w for v in T_])
+        assert all(type(v) is int for v in scaled.P + scaled.Q)
+        assert (scaled.P, scaled.Q) == (r.P, r.Q)
+        assert scaled == r and hash(scaled) == hash(r)
+        assert oracle_cross_eq(scaled, r)
+        assert scaled.unit == r.unit * w
+        assert (scaled.S, scaled.T) == ([v * w for v in r.S],
+                                        [v * w for v in r.T])
+        for p in [POINT_INF, affine_point(0), affine_point(x), (5, 3),
+                  (0, -2), (W3, 1), (1, I4)]:
+            want = oracle_two_path_apply(r, p)
+            assert r.apply(p) == want and scaled.apply(p) == want
+            assert oracle_two_path_apply(scaled, p) == want
+            assert pullback_divisor(scaled, p) == pullback_divisor(r, p)
+        want = rat1._critical_points_rational(r)
+        assert rat1._critical_points_rational(scaled) == want
+        assert want == oracle_fraction_critical_points(r)
 
 
 S, T = MPoly.var("s"), MPoly.var("t")
